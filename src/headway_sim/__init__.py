@@ -9,9 +9,7 @@ from .geom import (
     Triangle,
     Vec2,
     point_segment_distance,
-    polygon_point_distance,
     rotate,
-    segment_segment_distance,
     triangle_contains,
 )
 from .unicycle import (
@@ -47,15 +45,13 @@ from .environment import (
     ReferencePath,
     free_space_margin,
     path_clearance,
-    path_eval,
     safety_distance,
 )
 from .simulation import (
     METHODS,
     EpisodeResult,
-    GovernorState,
     compare_methods,
-    governor_derivative,
+    governor_field,
     run_episode,
 )
 from .scenario import (

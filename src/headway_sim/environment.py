@@ -16,7 +16,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Polygon, Triangle, Vec2, _point_segment_distance_matrix
+from .geom import (
+    _NEXT_VERTEX,
+    Polygon,
+    Triangle,
+    Vec2,
+    _point_segment_distance_matrix,
+    triangle_contains,
+)
 from .prediction import Disk, Hull, PredictionSet, Tri
 
 __all__ = [
@@ -26,7 +33,6 @@ __all__ = [
     "free_space_margin",
     "margin_points",
     "safety_distance",
-    "path_eval",
     "path_clearance",
 ]
 
@@ -83,10 +89,6 @@ class Environment:
         dy = self._ey1 - self._ey0
         self._dy_safe = np.where(dy == 0.0, 1.0, dy)
 
-    def boundary_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All workspace and obstacle edges stacked, as (A, B) arrays."""
-        return self._edge_a, self._edge_b
-
     def boundary_vertices(self) -> np.ndarray:
         return self._all_vertices
 
@@ -100,9 +102,6 @@ class Environment:
     def __repr__(self) -> str:
         return (f"Environment(workspace={self.workspace!r}, "
                 f"obstacles={len(self.obstacles)}, robot_radius={self.robot_radius})")
-
-
-_NEXT_VERTEX = np.array([1, 2, 0], dtype=np.intp)
 
 
 def _boundary_distance_matrix(env: Environment, pts: np.ndarray) -> np.ndarray:
@@ -143,43 +142,46 @@ def free_space_margin(env: Environment, p: Vec2) -> float:
     return float(margin_points(env, np.array([[p.x, p.y]]))[0])
 
 
+def _segments_to_boundary(env: Environment, pts: np.ndarray, dist: np.ndarray,
+                          start: slice | np.ndarray, end: slice | np.ndarray) -> float:
+    """Smallest distance from the segments ``pts[start] -> pts[end]`` to the
+    boundary edges; zero when a segment properly crosses an edge.
+
+    ``dist`` holds the point/edge distances of ``pts``, which already cover
+    the segment-end-to-edge direction.  The reverse direction and a
+    proper-crossing test complete the edge-edge minimum; endpoint distances
+    cover every other configuration, collinear overlap included.
+    """
+    a, b = pts[start], pts[end]
+    d_rev = _point_segment_distance_matrix(env.boundary_vertices(), a, b)
+    # orientation of the points against env edges; consecutive points and
+    # edges share rows and columns, so two grids cover all four
+    o_pts = ((env._ex1 - env._ex0) * (pts[:, None, 1] - env._ey0)
+             - (env._ey1 - env._ey0) * (pts[:, None, 0] - env._ex0))
+    o1, o2 = o_pts[start], o_pts[end]
+    sx = (b[:, 0] - a[:, 0])[:, None]
+    sy = (b[:, 1] - a[:, 1])[:, None]
+    o3 = sx * (env._ey0 - a[:, 1][:, None]) - sy * (env._ex0 - a[:, 0][:, None])
+    o4 = o3[:, env._next_edge]
+    proper = (((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
+              & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0))
+    if bool(proper.any()):
+        return 0.0
+    return min(float(dist.min()), float(d_rev.min()))
+
+
 def _triangle_safety(env: Environment, tri: Triangle) -> float:
     verts = tri.vertex_array()
     dist = _boundary_distance_matrix(env, verts)
     vertex_margin = float(_margins_from_matrix(env, verts, dist).min())
     if vertex_margin <= 0.0:
         return 0.0
-    tri_b = verts[_NEXT_VERTEX]
-    area2 = tri.double_signed_area()
-    if area2 != 0.0:
-        # an obstacle swallowed whole by the triangle escapes the
-        # edge-distance test, so probe boundary vertices for containment
-        sign = 1.0 if area2 > 0.0 else -1.0
-        bv = env.boundary_vertices()
-        inside = np.ones(len(bv), dtype=bool)
-        for i in range(3):
-            ex, ey = tri_b[i, 0] - verts[i, 0], tri_b[i, 1] - verts[i, 1]
-            crossv = ex * (bv[:, 1] - verts[i, 1]) - ey * (bv[:, 0] - verts[i, 0])
-            inside &= (sign * crossv) > 0.0
-        if bool(inside.any()):
-            return 0.0
-    # vertex-to-edge distances are already in ``dist``; add the reverse
-    # direction and a proper-crossing test to get the edge-edge minimum
-    d_rev = _point_segment_distance_matrix(env.boundary_vertices(), verts, tri_b)
-    # orientation of triangle vertices against env edges; consecutive
-    # vertices/edges share rows and columns, so two grids cover all four
-    o1 = ((env._ex1 - env._ex0) * (verts[:, None, 1] - env._ey0)
-          - (env._ey1 - env._ey0) * (verts[:, None, 0] - env._ex0))
-    o2 = o1[_NEXT_VERTEX]
-    tvx = (tri_b[:, 0] - verts[:, 0])[:, None]
-    tvy = (tri_b[:, 1] - verts[:, 1])[:, None]
-    o3 = tvx * (env._ey0 - verts[:, 1][:, None]) - tvy * (env._ex0 - verts[:, 0][:, None])
-    o4 = o3[:, env._next_edge]
-    proper = (((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
-              & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0))
-    if bool(proper.any()):
+    # an obstacle swallowed whole by the triangle escapes the edge-distance
+    # test, so probe boundary vertices for containment
+    if bool(triangle_contains(verts, env.boundary_vertices()).any()):
         return 0.0
-    edge_clearance = min(float(dist.min()), float(d_rev.min())) - env.robot_radius
+    edge_clearance = (_segments_to_boundary(env, verts, dist, slice(None), _NEXT_VERTEX)
+                      - env.robot_radius)
     return max(0.0, min(vertex_margin, edge_clearance))
 
 
@@ -263,18 +265,18 @@ class ReferencePath:
         return f"ReferencePath({len(self.waypoints)} waypoints, length={self.length:.3f})"
 
 
-def path_eval(path: ReferencePath, s: float) -> Vec2:
-    """Path point at arc length ``s`` (clamped into [0, length])."""
-    return path.point_at(s)
+def path_clearance(env: Environment, path: ReferencePath) -> float:
+    """Smallest free-space margin along the path polyline.
 
-
-def path_clearance(env: Environment, path: ReferencePath, n_samples: int = 256) -> float:
-    """Smallest free-space margin over uniformly spaced path samples.
-
-    Scenario validation requires this to be positive before a governor run
-    starts; the safe-following guarantee assumes a path with clearance.
+    Exact while the path stays off the boundary: its vertex margins give the
+    sign, the segment-to-boundary distance the size.  A path that touches or
+    crosses the boundary gets a value no greater than minus the robot
+    radius.  Scenario validation requires this to be positive before a
+    governor run starts; the safe-following guarantee assumes a path with
+    clearance.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    s = np.linspace(0.0, path.length, n_samples)
-    return float(margin_points(env, path.points_at(s)).min())
+    pts = path._xy
+    dist = _boundary_distance_matrix(env, pts)
+    vertex_margin = float(_margins_from_matrix(env, pts, dist).min())
+    edge_distance = _segments_to_boundary(env, pts, dist, slice(None, -1), slice(1, None))
+    return min(vertex_margin, edge_distance - env.robot_radius)

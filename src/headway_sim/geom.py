@@ -1,9 +1,10 @@
 """2-D geometric primitives used throughout the simulator.
 
 Scalar value types (Vec2, Segment, Triangle, Polygon) validate their inputs
-at construction and are safe to share across threads.  The ``*_mask`` /
-``*_matrix`` helpers operate on ``(N, 2)`` float arrays for batch queries
-along trajectories, where per-call Python overhead would dominate.
+at construction and are safe to share across threads.  The batch helpers
+(``min_distance_to_segments``, ``triangle_contains``) operate on ``(N, 2)``
+float arrays for queries along trajectories and against boundary vertices,
+where per-call Python overhead would dominate.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ __all__ = [
     "Polygon",
     "rotate",
     "point_segment_distance",
-    "segment_segment_distance",
     "triangle_contains",
-    "polygon_point_distance",
-    "points_in_polygon_mask",
     "min_distance_to_segments",
-    "segments_min_distance",
 ]
 
 
@@ -160,34 +157,6 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
     return False
 
 
-def segment_segment_distance(s1: Segment, s2: Segment) -> float:
-    """Minimum distance between two closed segments; zero iff they intersect."""
-    if segments_intersect(s1, s2):
-        return 0.0
-    return min(
-        point_segment_distance(s1.a, s2),
-        point_segment_distance(s1.b, s2),
-        point_segment_distance(s2.a, s1),
-        point_segment_distance(s2.b, s1),
-    )
-
-
-def triangle_contains(t: Triangle, z: Vec2) -> bool:
-    """Closed convex-hull membership, exact for collinear (degenerate) triangles."""
-    area2 = t.double_signed_area()
-    if area2 == 0.0:
-        # hull collapses to the longest pairwise segment
-        pairs = ((t.v0, t.v1), (t.v1, t.v2), (t.v0, t.v2))
-        a, b = max(pairs, key=lambda p: (p[1] - p[0]).dot(p[1] - p[0]))
-        return point_segment_distance(z, Segment(a, b)) == 0.0
-    d0 = (t.v1 - t.v0).cross(z - t.v0)
-    d1 = (t.v2 - t.v1).cross(z - t.v1)
-    d2 = (t.v0 - t.v2).cross(z - t.v2)
-    if area2 > 0.0:
-        return d0 >= 0.0 and d1 >= 0.0 and d2 >= 0.0
-    return d0 <= 0.0 and d1 <= 0.0 and d2 <= 0.0
-
-
 class Polygon:
     """Simple polygon with counterclockwise vertices, implicitly closed.
 
@@ -250,14 +219,6 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
 
-def polygon_point_distance(p: Polygon, z: Vec2) -> float:
-    """Signed distance from ``z`` to the polygon boundary: negative inside."""
-    a, b = p.edge_arrays()
-    d = float(min_distance_to_segments(np.array([[z.x, z.y]]), a, b)[0])
-    inside = bool(points_in_polygon_mask(np.array([[z.x, z.y]]), p.xy)[0])
-    return -d if inside else d
-
-
 # ---------------------------------------------------------------------------
 # batch helpers
 
@@ -276,70 +237,46 @@ def _point_segment_distance_matrix(pts: np.ndarray, a: np.ndarray, b: np.ndarray
     return np.sqrt(np.einsum("nmj,nmj->nm", delta, delta))
 
 
-def min_distance_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
-                             block: int = 262144) -> np.ndarray:
+# point-segment pairs per block of ``min_distance_to_segments``; bounds the
+# size of its temporaries for long trajectories against many segments
+_BLOCK_PAIRS = 262144
+
+
+def min_distance_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-point minimum distance to any of the segments, shape (N,)."""
     pts = np.asarray(pts, dtype=float)
     n, m = len(pts), len(a)
     if n == 0:
         return np.zeros(0)
-    rows = max(1, block // max(1, m))
+    rows = max(1, _BLOCK_PAIRS // max(1, m))
     out = np.empty(n)
     for i in range(0, n, rows):
         out[i:i + rows] = _point_segment_distance_matrix(pts[i:i + rows], a, b).min(axis=1)
     return out
 
 
-def points_in_polygon_mask(pts: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Ray-casting containment test for N points against one polygon."""
-    pts = np.asarray(pts, dtype=float)
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    x0 = xy[:, 0][None, :]
-    y0 = xy[:, 1][None, :]
-    x1 = np.roll(xy[:, 0], -1)[None, :]
-    y1 = np.roll(xy[:, 1], -1)[None, :]
-    straddle = (y0 <= y) != (y1 <= y)
-    dy = y1 - y0
-    dy = np.where(dy == 0.0, 1.0, dy)
-    xint = x0 + (y - y0) * (x1 - x0) / dy
-    crossings = np.count_nonzero(straddle & (x < xint), axis=1)
-    return (crossings % 2) == 1
+_NEXT_VERTEX = np.array([1, 2, 0], dtype=np.intp)
 
 
-def segments_min_distance(a1: np.ndarray, b1: np.ndarray,
-                          a2: np.ndarray, b2: np.ndarray) -> float:
-    """Minimum distance between two segment sets; zero if any pair touches.
+def triangle_contains(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Closed membership of N points in the triangle with vertex rows
+    ``verts`` (3, 2), shape (N,).
 
-    Endpoint-vs-segment distances cover every non-crossing configuration
-    (including collinear overlap), so only proper crossings need the
-    orientation test.
+    Exact for collinear (degenerate) triangles, whose hull is the longest
+    pairwise segment; the vertex order may be either orientation.
     """
-    a1 = np.asarray(a1, float).reshape(-1, 2)
-    b1 = np.asarray(b1, float).reshape(-1, 2)
-    a2 = np.asarray(a2, float).reshape(-1, 2)
-    b2 = np.asarray(b2, float).reshape(-1, 2)
-
-    def orient(ox, oy, ax, ay, bx, by):
-        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-    # orientation of set-1 endpoints relative to set-2 segments and vice versa
-    o1 = orient(a2[None, :, 0], a2[None, :, 1], b2[None, :, 0], b2[None, :, 1],
-                a1[:, None, 0], a1[:, None, 1])
-    o2 = orient(a2[None, :, 0], a2[None, :, 1], b2[None, :, 0], b2[None, :, 1],
-                b1[:, None, 0], b1[:, None, 1])
-    o3 = orient(a1[:, None, 0], a1[:, None, 1], b1[:, None, 0], b1[:, None, 1],
-                a2[None, :, 0], a2[None, :, 1])
-    o4 = orient(a1[:, None, 0], a1[:, None, 1], b1[:, None, 0], b1[:, None, 1],
-                b2[None, :, 0], b2[None, :, 1])
-    proper = (((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
-              & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0))
-    if bool(proper.any()):
-        return 0.0
-    candidates = (
-        min_distance_to_segments(a1, a2, b2).min(),
-        min_distance_to_segments(b1, a2, b2).min(),
-        min_distance_to_segments(a2, a1, b1).min(),
-        min_distance_to_segments(b2, a1, b1).min(),
-    )
-    return float(min(candidates))
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    (x0, y0), (x1, y1), (x2, y2) = verts.tolist()
+    area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    if area2 == 0.0:
+        a, b = verts[[0, 1, 0]], verts[[1, 2, 2]]
+        d = b - a
+        k = int(np.argmax(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+        return min_distance_to_segments(pts, a[k:k + 1], b[k:k + 1]) == 0.0
+    edge = verts[_NEXT_VERTEX] - verts
+    # (3, N) cross products of each edge with the vertex-to-point vectors
+    cross = (edge[:, 0, None] * (pts[None, :, 1] - verts[:, 1, None])
+             - edge[:, 1, None] * (pts[None, :, 0] - verts[:, 0, None]))
+    if area2 < 0.0:
+        cross = -cross
+    return (cross >= 0.0).all(axis=0)

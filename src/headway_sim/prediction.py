@@ -197,7 +197,7 @@ def forward_sim_prediction(state: UnicycleState, goal: Vec2, params: ControllerP
     certified bound.
     """
     tol = max(params.goal_tolerance, sim.goal_tolerance)
-    budget = min(sim.max_time, convergence_budget(state, goal, params, max(tol, 1e-12)))
+    budget = convergence_budget(state, goal, params, max(tol, 1e-12))
     traj = simulate_to_goal(state, goal, params, step=sim.inner_step(),
                             goal_tol=sim.goal_tolerance, max_time=budget)
     pts = traj.positions
@@ -215,7 +215,7 @@ def prediction_distance(pred: PredictionSet, z: Vec2) -> float:
         return max(0.0, (z - pred.center).norm() - pred.radius)
     if isinstance(pred, Tri):
         tri = pred.triangle
-        if triangle_contains(tri, z):
+        if triangle_contains(tri.vertex_array(), [[z.x, z.y]])[0]:
             return 0.0
         return min(
             point_segment_distance(z, Segment(tri.v0, tri.v1)),

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Segment, Triangle, Vec2, min_distance_to_segments, point_segment_distance
+from .geom import (
+    Segment,
+    Triangle,
+    Vec2,
+    min_distance_to_segments,
+    point_segment_distance,
+    triangle_contains,
+)
 from .ode import SimConfig, Trajectory, integrate, simulate_to_goal
 from .prediction import (
     Disk,
@@ -369,19 +376,8 @@ def check_fixed_headway_offset(seed: int = 0, n: int = 20,
 def _triangle_violation(tri: Triangle, pts: np.ndarray) -> float:
     """Largest distance of the points outside the (possibly degenerate) triangle."""
     verts = tri.vertex_array()
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    d = min_distance_to_segments(pts, a, b)
-    area2 = tri.double_signed_area()
-    if area2 == 0.0:
-        return float(d.max())  # the edge set covers the collapsed hull
-    sign = 1.0 if area2 > 0.0 else -1.0
-    inside = np.ones(len(pts), dtype=bool)
-    for i in range(3):
-        ex, ey = b[i, 0] - a[i, 0], b[i, 1] - a[i, 1]
-        crossv = ex * (pts[:, 1] - a[i, 1]) - ey * (pts[:, 0] - a[i, 0])
-        inside &= (sign * crossv) >= 0.0
-    return float(np.where(inside, 0.0, d).max())
+    d = min_distance_to_segments(pts, verts, np.roll(verts, -1, axis=0))
+    return float(np.where(triangle_contains(verts, pts), 0.0, d).max())
 
 
 def check_trajectory_containment(cases: list[TrajectoryCase],

@@ -43,11 +43,10 @@ from .unicycle import ControllerParams, UnicycleState, _adaptive_control
 
 __all__ = [
     "METHODS",
-    "GovernorState",
     "EpisodeResult",
     "NonConvergenceError",
     "prediction_set",
-    "governor_derivative",
+    "governor_field",
     "run_episode",
     "compare_methods",
     "read_trajectory_csv",
@@ -68,14 +67,6 @@ class NonConvergenceError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class GovernorState:
-    """Coupled state: path parameter (m along the path) plus robot pose."""
-
-    s: float
-    unicycle: UnicycleState
-
-
 def prediction_set(method: str, state: UnicycleState, goal: Vec2,
                    params: ControllerParams, config: SimConfig) -> PredictionSet:
     """Build the named feedback motion prediction set."""
@@ -88,26 +79,26 @@ def prediction_set(method: str, state: UnicycleState, goal: Vec2,
     raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
 
 
-def governor_derivative(gs: GovernorState, env: Environment, path: ReferencePath,
-                        params: ControllerParams, method: str, config: SimConfig
-                        ) -> tuple[float, tuple[float, float, float]]:
+def governor_field(env: Environment, path: ReferencePath, params: ControllerParams,
+                   method: str, config: SimConfig, s: float, x: float, y: float,
+                   th: float) -> tuple:
     """Time derivative of the coupled path-parameter / robot-pose state.
 
-    The path parameter advances at the smaller of the clearance-driven rate
-    and the endpoint pull, so it never overshoots the path end and freezes
-    whenever the predicted motion touches the free-space boundary.
+    Returns ``(s_rate, x_rate, y_rate, th_rate, v, clearance, radius, pred)``:
+    the derivative, the forward speed, the prediction-set clearance and goal
+    radius logged per node, and the prediction set itself.  The path
+    parameter advances at the smaller of the clearance-driven rate and the
+    endpoint pull, so it never overshoots the path end and freezes whenever
+    the predicted motion touches the free-space boundary.
     """
-    goal = path.point_at(gs.s)
-    pred = prediction_set(method, gs.unicycle, goal, params, config)
+    goal = path.point_at(s)
+    pred = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, params, config)
     clearance = safety_distance(env, pred)
-    s_rate = min(config.clearance_gain * clearance,
-                 config.endpoint_gain * (path.length - gs.s))
-    p = gs.unicycle.position
-    v, w = _adaptive_control(p.x, p.y, gs.unicycle.orientation, goal.x, goal.y,
-                             params.headway_coeff, params.ref_gain,
-                             params.goal_tolerance)
-    th = gs.unicycle.orientation
-    return s_rate, (v * math.cos(th), v * math.sin(th), w)
+    radius = prediction_goal_radius(pred, goal)
+    s_rate = min(config.clearance_gain * clearance, config.endpoint_gain * (path.length - s))
+    v, w = _adaptive_control(x, y, th, goal.x, goal.y, params.headway_coeff,
+                             params.ref_gain, params.goal_tolerance)
+    return (s_rate, v * math.cos(th), v * math.sin(th), w, v, clearance, radius, pred)
 
 
 @dataclass
@@ -234,36 +225,24 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     start = path.point_at(0.0)
     goal_end = path.point_at(path.length)
     length = path.length
-    eps = params.headway_coeff
-    gain = params.ref_gain
-    ctl_tol = params.goal_tolerance
-    k_clear = config.clearance_gain
-    k_end = config.endpoint_gain
     dt = config.step
     stop_tol = config.goal_tolerance
 
     eval_time = 0.0
     eval_count = 0
 
-    def field(s: float, x: float, y: float, th: float
-              ) -> tuple[float, float, float, float, float, float, float]:
-        """Derivative plus the logged per-node quantities (v, clearance, radius)."""
+    def field(s: float, x: float, y: float, th: float) -> tuple:
         nonlocal eval_time, eval_count
         t0 = time.perf_counter()
-        gxy = path.point_at(s)
-        state = UnicycleState(Vec2(x, y), th)
-        pred = prediction_set(method, state, gxy, params, config)
+        k = governor_field(env, path, params, method, config, s, x, y, th)
+        pred = k[7]
         if isinstance(pred, Hull) and not pred.converged:
             raise NonConvergenceError(
                 f"forward simulation from t={t:.3f}s failed to reach the "
                 "path point within its contraction budget")
-        clearance = safety_distance(env, pred)
-        radius = prediction_goal_radius(pred, gxy)
-        s_rate = min(k_clear * clearance, k_end * (length - s))
-        v, w = _adaptive_control(x, y, th, gxy.x, gxy.y, eps, gain, ctl_tol)
         eval_time += time.perf_counter() - t0
         eval_count += 1
-        return (s_rate, v * math.cos(th), v * math.sin(th), w, v, clearance, radius)
+        return k
 
     t = 0.0
     s = 0.0
@@ -315,7 +294,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     w_arr = np.array(ws[:n])
     result = EpisodeResult(
         method=method,
-        epsilon=eps,
+        epsilon=params.headway_coeff,
         t=np.array(ts),
         s=np.array(ss),
         x=np.array(xs),

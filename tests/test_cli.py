@@ -68,6 +68,15 @@ class TestRun:
                      "--max-time", "0.5"])
         assert code == EXIT_NONCONVERGENCE
 
+    def test_forward_sim_nonconvergence_writes_partial_run(self, corridor, tmp_path):
+        # the inner prediction horizon does not shrink with the episode horizon
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(corridor), "--method", "forward-sim",
+                     "--out", str(out), "--max-time", "1"])
+        assert code == EXIT_NONCONVERGENCE
+        for name in ("trajectory.csv", "summary.yaml", "trajectory.svg"):
+            assert (out / "corridor_forward-sim" / name).exists()
+
     def test_method_override(self, corridor, tmp_path):
         out = tmp_path / "results"
         code = main(["run", "--scenario", str(corridor), "--method", "circle",

@@ -7,7 +7,6 @@ from headway_sim.environment import (
     free_space_margin,
     margin_points,
     path_clearance,
-    path_eval,
     safety_distance,
 )
 from headway_sim.geom import Polygon, Triangle, Vec2
@@ -51,7 +50,8 @@ class TestFreeSpaceMargin:
         assert free_space_margin(empty_env, Vec2(0, 5)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_inside_obstacle_negative(self, obstacle_env):
-        assert free_space_margin(obstacle_env, Vec2(5, 5)) < 0
+        # 1 m deep inside the obstacle, minus the 0.5 m radius
+        assert free_space_margin(obstacle_env, Vec2(5, 5)) == pytest.approx(-1.5, abs=1e-12)
 
     def test_outside_workspace_negative(self, empty_env):
         assert free_space_margin(empty_env, Vec2(12, 5)) < 0
@@ -59,6 +59,8 @@ class TestFreeSpaceMargin:
     def test_near_obstacle(self, obstacle_env):
         # 1 m from the obstacle face, minus the 0.5 m radius
         assert free_space_margin(obstacle_env, Vec2(3, 5)) == pytest.approx(0.5, abs=1e-12)
+        # on the obstacle face
+        assert free_space_margin(obstacle_env, Vec2(4, 5)) == pytest.approx(-0.5, abs=1e-12)
 
     def test_batch_matches_scalar(self, obstacle_env):
         rng = np.random.default_rng(41)
@@ -167,6 +169,25 @@ class TestClearanceNeverOverReported:
                        np.linalg.norm(v[0] - v[2]))
             assert fast >= sampled - 2.5 * diam / 50 - 1e-12
 
+    def test_path_clearance_bounded_by_sampling(self, lshape_env):
+        rng = np.random.default_rng(80)
+        for _ in range(300):
+            pts = [Vec2(*rng.uniform(-1, 11, 2))]
+            for _ in range(rng.integers(1, 4)):
+                pts.append(pts[-1] + Vec2(*rng.uniform(-3, 3, 2)))
+            path = ReferencePath(pts)
+            exact = path_clearance(lshape_env, path)
+            reverse = path_clearance(lshape_env, ReferencePath(pts[::-1]))
+            assert exact == pytest.approx(reverse, abs=1e-12)
+            h = 1e-3
+            s = np.linspace(0, path.length, int(path.length / h) + 2)
+            sampled = float(margin_points(lshape_env, path.points_at(s)).min())
+            if sampled <= 0.0:
+                assert exact <= 0.0
+            if exact > 0.0:
+                # margins are 1-Lipschitz, so samples h apart overshoot by h/2
+                assert sampled - h / 2 - 1e-12 <= exact <= sampled + 1e-12
+
     def test_disk_clearance_bounded_by_sampling(self, lshape_env):
         rng = np.random.default_rng(79)
         for _ in range(200):
@@ -185,22 +206,22 @@ class TestClearanceNeverOverReported:
 class TestReferencePath:
     def test_midpoint(self):
         path = ReferencePath([Vec2(0, 0), Vec2(2, 0)])
-        assert path_eval(path, 1.0) == Vec2(1, 0)
+        assert path.point_at(1.0) == Vec2(1, 0)
 
     def test_start(self):
         path = ReferencePath([Vec2(0, 0), Vec2(2, 0)])
-        assert path_eval(path, 0.0) == Vec2(0, 0)
+        assert path.point_at(0.0) == Vec2(0, 0)
 
     def test_arc_length_walk(self):
         path = ReferencePath([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1)])
-        p = path_eval(path, 1.5)
+        p = path.point_at(1.5)
         assert p.x == pytest.approx(1.0, abs=1e-12)
         assert p.y == pytest.approx(0.5, abs=1e-12)
 
     def test_clamps_parameter(self):
         path = ReferencePath([Vec2(0, 0), Vec2(2, 0)])
-        assert path_eval(path, -1.0) == Vec2(0, 0)
-        assert path_eval(path, 99.0) == Vec2(2, 0)
+        assert path.point_at(-1.0) == Vec2(0, 0)
+        assert path.point_at(99.0) == Vec2(2, 0)
 
     def test_needs_two_waypoints(self):
         with pytest.raises(ValueError, match="2 waypoints"):
@@ -223,7 +244,7 @@ class TestReferencePath:
         path = ReferencePath(pts)
         for _ in range(500):
             s1, s2 = rng.uniform(0, path.length, 2)
-            d = (path_eval(path, s1) - path_eval(path, s2)).norm()
+            d = (path.point_at(s1) - path.point_at(s2)).norm()
             assert d <= abs(s1 - s2) + 1e-9
 
     def test_points_at_matches_point_at(self):
@@ -245,7 +266,33 @@ class TestPathClearance:
         path = ReferencePath([Vec2(1, 5), Vec2(9, 5)])
         assert path_clearance(obstacle_env, path) <= 0
 
-    def test_needs_two_samples(self, empty_env):
-        path = ReferencePath([Vec2(2, 5), Vec2(8, 5)])
-        with pytest.raises(ValueError, match="n_samples"):
-            path_clearance(empty_env, path, n_samples=1)
+    # path segment against one boundary edge: the cases of the exact
+    # segment-segment distance, with a 0.01 m robot in a 100 m square
+    @pytest.fixture
+    def far_env(self):
+        return Environment(square(100, -50, -50), [square(1, 0, 1)], robot_radius=0.01)
+
+    def test_parallel_unit_apart(self, far_env):
+        path = ReferencePath([Vec2(0, 0), Vec2(1, 0)])
+        assert path_clearance(far_env, path) == pytest.approx(1 - 0.01, abs=1e-12)
+
+    def test_crossing_diagonals(self, far_env):
+        # crosses the left and top faces; both waypoints stay clear
+        path = ReferencePath([Vec2(-0.5, 1.25), Vec2(0.5, 2.25)])
+        assert path_clearance(far_env, path) == pytest.approx(-0.01, abs=1e-12)
+
+    def test_collinear_gap(self, far_env):
+        path = ReferencePath([Vec2(-3, 1), Vec2(-2, 1)])
+        assert path_clearance(far_env, path) == pytest.approx(2 - 0.01, abs=1e-12)
+
+    def test_touching_endpoint(self, far_env):
+        path = ReferencePath([Vec2(-1, 0), Vec2(0, 1)])
+        assert path_clearance(far_env, path) == pytest.approx(-0.01, abs=1e-12)
+
+    def test_sliver_between_samples_is_rejected(self):
+        # a 4 cm sliver crossed far from every path vertex
+        env = Environment(square(100), [Polygon([Vec2(49.98, 49.6), Vec2(50.02, 49.6),
+                                                 Vec2(50.02, 50.4), Vec2(49.98, 50.4)])],
+                          robot_radius=0.01)
+        path = ReferencePath([Vec2(1, 1), Vec2(99, 99)])
+        assert path_clearance(env, path) <= -0.01

@@ -142,10 +142,17 @@ class TestForwardSimPrediction:
             dists = np.hypot(hull.points[:, 0] - goal.x, hull.points[:, 1] - goal.y)
             assert float(dists.max()) <= disk.radius + 1e-6
 
-    def test_budget_exhaustion_flag(self):
+    def test_budget_exhaustion_flag(self, monkeypatch):
+        import headway_sim.prediction as prediction_mod
+
+        monkeypatch.setattr(prediction_mod, "convergence_budget", lambda *args: 0.05)
+        hull = forward_sim_prediction(state(3, 0, 0), ORIGIN, PARAMS, SimConfig(step=0.01))
+        assert not hull.converged
+
+    def test_inner_horizon_independent_of_episode_horizon(self):
         hull = forward_sim_prediction(state(3, 0, 0), ORIGIN, PARAMS,
                                       SimConfig(step=0.01, max_time=0.05))
-        assert not hull.converged
+        assert hull.converged
 
 
 class TestPredictionDistance:

@@ -82,6 +82,15 @@ class TestValidation:
         with pytest.raises(ClearanceError):
             scenario_from_dict(data)
 
+    def test_sliver_between_path_samples_raises_clearance(self):
+        # the straight path crosses a 4 cm sliver far from both waypoints
+        data = office_data()
+        data.update(workspace=[[0, 0], [100, 0], [100, 100], [0, 100]],
+                    obstacles=[[[49.98, 49.6], [50.02, 49.6], [50.02, 50.4], [49.98, 50.4]]],
+                    robot_radius=0.01, path=[[1, 1], [99, 99]])
+        with pytest.raises(ClearanceError):
+            scenario_from_dict(data)
+
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):
             scenario_from_dict([1, 2, 3])

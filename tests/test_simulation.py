@@ -8,13 +8,12 @@ from headway_sim.geom import Polygon, Vec2
 from headway_sim.ode import SimConfig
 from headway_sim.simulation import (
     CSV_COLUMNS,
-    GovernorState,
     compare_methods,
-    governor_derivative,
+    governor_field,
     read_trajectory_csv,
     run_episode,
 )
-from headway_sim.unicycle import ControllerParams, UnicycleState
+from headway_sim.unicycle import ControllerParams
 
 def square(side, x0=0.0, y0=0.0):
     return Polygon([Vec2(x0, y0), Vec2(x0 + side, y0),
@@ -35,40 +34,37 @@ class TestGovernorDerivative:
         env, path, params, config = simple_setup
         # near the path end with plenty of clearance: the endpoint pull binds
         s = path.length - 0.1
-        gs = GovernorState(s, UnicycleState(Vec2(7.9, 5), 0.0))
-        s_rate, _ = governor_derivative(gs, env, path, params, "circle", config)
-        assert s_rate == pytest.approx(config.endpoint_gain * 0.1, rel=1e-9)
+        k = governor_field(env, path, params, "circle", config, s, 7.9, 5.0, 0.0)
+        assert k[0] == pytest.approx(config.endpoint_gain * 0.1, rel=1e-9)
 
     def test_clearance_rate_when_binding(self, simple_setup):
         env, path, params, config = simple_setup
-        gs = GovernorState(0.0, UnicycleState(Vec2(2, 5), 0.0))
-        s_rate, _ = governor_derivative(gs, env, path, params, "circle", config)
+        k = governor_field(env, path, params, "circle", config, 0.0, 2.0, 5.0, 0.0)
         # point prediction at (2,5): margin 2 - 0.5, scaled by the gain
-        assert s_rate == pytest.approx(config.clearance_gain * 1.5, rel=1e-9)
+        assert k[0] == pytest.approx(config.clearance_gain * 1.5, rel=1e-9)
+        assert k[5] == pytest.approx(1.5, rel=1e-9)
 
     def test_zero_rate_when_prediction_touches_boundary(self, simple_setup):
         env, path, params, config = simple_setup
         # a state whose circular prediction reaches the inflated wall
-        gs = GovernorState(0.0, UnicycleState(Vec2(2, 9.2), -math.pi / 2))
-        s_rate, (dx, dy, dth) = governor_derivative(gs, env, path, params,
-                                                    "circle", config)
-        assert s_rate == 0.0
-        assert math.hypot(dx, dy) > 0  # the robot still steers toward the path
+        k = governor_field(env, path, params, "circle", config, 0.0, 2.0, 9.2, -math.pi / 2)
+        assert k[0] == 0.0
+        assert math.hypot(k[1], k[2]) > 0  # the robot still steers toward the path
+
     def test_zero_rate_at_path_end(self, simple_setup):
         env, path, params, config = simple_setup
-        gs = GovernorState(path.length, UnicycleState(Vec2(8, 5), 0.0))
-        s_rate, _ = governor_derivative(gs, env, path, params, "circle", config)
-        assert s_rate == 0.0
+        k = governor_field(env, path, params, "circle", config, path.length, 8.0, 5.0, 0.0)
+        assert k[0] == 0.0
 
     def test_rate_nonnegative_inside_range(self, simple_setup):
         env, path, params, config = simple_setup
         rng = np.random.default_rng(51)
         for _ in range(50):
-            gs = GovernorState(rng.uniform(0, path.length),
-                               UnicycleState(Vec2(rng.uniform(1, 9), rng.uniform(1, 9)),
-                                             rng.uniform(-math.pi, math.pi)))
-            s_rate, _ = governor_derivative(gs, env, path, params, "triangle", config)
-            assert s_rate >= 0.0
+            s = rng.uniform(0, path.length)
+            x, y = rng.uniform(1, 9), rng.uniform(1, 9)
+            th = rng.uniform(-math.pi, math.pi)
+            k = governor_field(env, path, params, "triangle", config, s, x, y, th)
+            assert k[0] >= 0.0
 
 
 class TestRunEpisode:
@@ -77,6 +73,15 @@ class TestRunEpisode:
         path = ReferencePath([Vec2(1, 5), Vec2(9, 5)])
         with pytest.raises(ClearanceError):
             run_episode(env, path, ControllerParams(), "circle", SimConfig())
+
+    def test_rejects_path_crossing_sliver_obstacle(self):
+        # the straight path crosses a 4 cm sliver far from both waypoints
+        sliver = Polygon([Vec2(49.98, 49.6), Vec2(50.02, 49.6),
+                          Vec2(50.02, 50.4), Vec2(49.98, 50.4)])
+        env = Environment(square(100), [sliver], robot_radius=0.01)
+        path = ReferencePath([Vec2(1, 1), Vec2(99, 99)])
+        with pytest.raises(ClearanceError):
+            run_episode(env, path, ControllerParams(), "triangle", SimConfig())
 
     def test_rejects_unknown_method(self, simple_setup):
         env, path, params, config = simple_setup
