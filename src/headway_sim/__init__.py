@@ -25,7 +25,7 @@ from .unicycle import (
     unicycle_derivative,
     wrap_angle,
 )
-from .ode import SimConfig, Trajectory, integrate, rk4_step, simulate_to_goal
+from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
 from .prediction import (
     Disk,
     Hull,

@@ -34,6 +34,7 @@ __all__ = [
     "margin_points",
     "safety_distance",
     "path_clearance",
+    "require_path_clearance",
 ]
 
 
@@ -280,3 +281,20 @@ def path_clearance(env: Environment, path: ReferencePath) -> float:
     vertex_margin = float(_margins_from_matrix(env, pts, dist).min())
     edge_distance = _segments_to_boundary(env, pts, dist, slice(None, -1), slice(1, None))
     return min(vertex_margin, edge_distance - env.robot_radius)
+
+
+def require_path_clearance(clearance: float, robot_radius: float, source: str = "") -> None:
+    """Raise ``ClearanceError`` unless a ``path_clearance`` value is strictly
+    positive.
+
+    At or below minus the robot radius the path itself meets the boundary
+    and the value no longer measures depth, so the message says so instead.
+    """
+    if clearance > 0.0:
+        return
+    where = f"{source}: " if source else ""
+    if clearance <= -robot_radius:
+        raise ClearanceError(f"{where}reference path touches or crosses an obstacle "
+                             "or the workspace boundary")
+    raise ClearanceError(f"{where}reference path clearance is {clearance:.6f} m; "
+                         "it must be strictly positive")

@@ -1,11 +1,20 @@
-"""Deterministic fixed-step RK4 integration.
+"""Deterministic fixed-step RK4 integration of the unicycle closed loop.
+
+``rollout`` is the one RK4 loop for a robot driven toward a fixed goal by
+a scalar control law; the adaptive-headway entry point ``simulate_to_goal``
+(forward-sim predictions, the property suite) and the fixed-headway
+baseline check both run on it.  ``simulation.run_episode`` keeps its own
+loop: its governed state carries the path parameter ``s`` and it logs each
+node's first-stage results, which the rollout could only serve through a
+per-stage closure, and the rollout is most of forward-sim's time.
 
 A fixed step keeps runs bit-reproducible (golden CSV/SVG files diff
 cleanly).  Every shipped scenario steps at 10 ms; the 5 ms default is not
 validated on its own.  What is checked: the acceptance gate's criterion 8
-requires the step-halving error ratio of a closed-loop run (0.1 s against
-0.05 s) to lie in [12, 20], around RK4's 16; and the benchmark checks the
-closed-loop headway point against its closed form
+requires the step-halving error ratio of a closed-loop ``simulate_to_goal``
+run (0.1 s against 0.05 s) to lie in [12, 20], around RK4's 16, so it
+certifies the loop that predictions and episodes' inner runs use; and the
+benchmark checks the closed-loop headway point against its closed form
 h(t) = g + exp(-k t) (h0 - g), with worst relative errors of 1.4e-9 at
 dt = 0.01 and 1.6e-8 at dt = 0.02 over the 200 property-suite runs
 (``bench/README.md``).
@@ -22,8 +31,8 @@ import numpy as np
 from .unicycle import ControllerParams, UnicycleState, _adaptive_control
 from .geom import Vec2
 
-__all__ = ["SimConfig", "rk4_step", "integrate", "simulate_to_goal",
-           "convergence_budget", "Trajectory"]
+__all__ = ["SimConfig", "rollout", "simulate_to_goal", "convergence_budget",
+           "Trajectory"]
 
 
 @dataclass(frozen=True)
@@ -65,40 +74,6 @@ class SimConfig:
         return self.step if self.prediction_step is None else self.prediction_step
 
 
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of an autonomous field ``f``."""
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, config: SimConfig,
-              stop: Optional[Callable[[np.ndarray], bool]] = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``y' = f(y)`` with dense fixed-step output.
-
-    Returns arrays ``(t, y)`` with one row per accepted step, starting at
-    the initial state.  The optional ``stop`` predicate is evaluated at
-    every node and ends the run early; otherwise integration runs to
-    ``config.max_time`` exactly (the final step is shortened to land on it).
-    """
-    y = np.asarray(y0, dtype=float).copy()
-    t = 0.0
-    times = [0.0]
-    states = [y.copy()]
-    while t < config.max_time - 1e-12:
-        if stop is not None and stop(y):
-            break
-        dt = min(config.step, config.max_time - t)
-        y = rk4_step(f, y, dt)
-        t += dt
-        times.append(t)
-        states.append(y.copy())
-    return np.array(times), np.vstack(states)
-
-
 @dataclass
 class Trajectory:
     """Closed-loop unicycle run: times (K,), states (K, 3) as x, y, theta."""
@@ -131,6 +106,49 @@ def convergence_budget(state: UnicycleState, goal: Vec2, params: ControllerParam
     return 1.5 * math.log(h0 / ((1.0 - eps) * tol)) / params.ref_gain + 5.0
 
 
+def rollout(law: Callable[..., tuple[float, float]], coeffs: tuple, state: UnicycleState,
+            goal: Vec2, step: float, max_time: float, tol: float) -> Trajectory:
+    """Integrate the unicycle under ``law(px, py, theta, gx, gy, coeffs) ->
+    (v, w)`` toward a fixed goal.
+
+    Stops once the goal distance is at most ``tol`` (flagged as converged)
+    or at ``max_time``, which the last, shortened step lands on exactly.
+    """
+    px, py, th = state.position.x, state.position.y, state.orientation
+    gx, gy = goal.x, goal.y
+    times = [0.0]
+    rows = [(px, py, th)]
+    t = 0.0
+    converged = math.hypot(gx - px, gy - py) <= tol
+    while not converged and t < max_time - 1e-12:
+        dt = min(step, max_time - t)
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        v1, w1 = law(px, py, th, gx, gy, coeffs)
+        k1x = v1 * math.cos(th)
+        k1y = v1 * math.sin(th)
+        x2, y2, th2 = px + half * k1x, py + half * k1y, th + half * w1
+        v2, w2 = law(x2, y2, th2, gx, gy, coeffs)
+        k2x = v2 * math.cos(th2)
+        k2y = v2 * math.sin(th2)
+        x3, y3, th3 = px + half * k2x, py + half * k2y, th + half * w2
+        v3, w3 = law(x3, y3, th3, gx, gy, coeffs)
+        k3x = v3 * math.cos(th3)
+        k3y = v3 * math.sin(th3)
+        x4, y4, th4 = px + dt * k3x, py + dt * k3y, th + dt * w3
+        v4, w4 = law(x4, y4, th4, gx, gy, coeffs)
+        k4x = v4 * math.cos(th4)
+        k4y = v4 * math.sin(th4)
+        px += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        py += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        th += sixth * (w1 + 2.0 * (w2 + w3) + w4)
+        t += dt
+        times.append(t)
+        rows.append((px, py, th))
+        converged = math.hypot(gx - px, gy - py) <= tol
+    return Trajectory(np.array(times), np.array(rows, dtype=float), converged)
+
+
 def simulate_to_goal(state: UnicycleState, goal: Vec2, params: ControllerParams,
                      step: float, goal_tol: Optional[float] = None,
                      max_time: Optional[float] = None) -> Trajectory:
@@ -142,53 +160,11 @@ def simulate_to_goal(state: UnicycleState, goal: Vec2, params: ControllerParams,
     comes from the exponential contraction of the headway point distance,
     plus slack; failing to converge within it flags the run.
     """
-    eps = params.headway_coeff
-    gain = params.ref_gain
     # the stop radius cannot undercut the controller's own freeze ball
     tol = max(params.goal_tolerance, goal_tol if goal_tol is not None else 0.0)
     if tol <= 0.0:
         tol = 1e-12
-    ctl_tol = params.goal_tolerance
-    px, py, th = state.position.x, state.position.y, state.orientation
-    gx, gy = goal.x, goal.y
-
     if max_time is None:
         max_time = convergence_budget(state, goal, params, tol)
-
-    times = [0.0]
-    rows = [(px, py, th)]
-    t = 0.0
-    converged = math.hypot(gx - px, gy - py) <= tol
-    half = 0.5 * step
-    sixth = step / 6.0
-    while not converged and t < max_time - 1e-12:
-        dt = min(step, max_time - t)
-        if dt != step:
-            half = 0.5 * dt
-            sixth = dt / 6.0
-        v1, w1 = _adaptive_control(px, py, th, gx, gy, eps, gain, ctl_tol)
-        k1x = v1 * math.cos(th)
-        k1y = v1 * math.sin(th)
-        x2, y2, th2 = px + half * k1x, py + half * k1y, th + half * w1
-        v2, w2 = _adaptive_control(x2, y2, th2, gx, gy, eps, gain, ctl_tol)
-        k2x = v2 * math.cos(th2)
-        k2y = v2 * math.sin(th2)
-        x3, y3, th3 = px + half * k2x, py + half * k2y, th + half * w2
-        v3, w3 = _adaptive_control(x3, y3, th3, gx, gy, eps, gain, ctl_tol)
-        k3x = v3 * math.cos(th3)
-        k3y = v3 * math.sin(th3)
-        x4, y4, th4 = px + dt * k3x, py + dt * k3y, th + dt * w3
-        v4, w4 = _adaptive_control(x4, y4, th4, gx, gy, eps, gain, ctl_tol)
-        k4x = v4 * math.cos(th4)
-        k4y = v4 * math.sin(th4)
-        px += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-        py += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        th += sixth * (w1 + 2.0 * (w2 + w3) + w4)
-        t += dt
-        if dt != step:
-            half = 0.5 * step
-            sixth = step / 6.0
-        times.append(t)
-        rows.append((px, py, th))
-        converged = math.hypot(gx - px, gy - py) <= tol
-    return Trajectory(np.array(times), np.array(rows, dtype=float), converged)
+    coeffs = (params.headway_coeff, params.ref_gain, params.goal_tolerance)
+    return rollout(_adaptive_control, coeffs, state, goal, step, max_time, tol)

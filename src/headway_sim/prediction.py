@@ -35,7 +35,7 @@ from .geom import (
     point_segment_distance,
     triangle_contains,
 )
-from .ode import SimConfig, convergence_budget, simulate_to_goal
+from .ode import SimConfig, simulate_to_goal
 from .unicycle import (
     ControllerParams,
     UnicycleState,
@@ -196,10 +196,8 @@ def forward_sim_prediction(state: UnicycleState, goal: Vec2, params: ControllerP
     excursions to first order; the set is a reference baseline rather than a
     certified bound.
     """
-    tol = max(params.goal_tolerance, sim.goal_tolerance)
-    budget = convergence_budget(state, goal, params, max(tol, 1e-12))
     traj = simulate_to_goal(state, goal, params, step=sim.inner_step(),
-                            goal_tol=sim.goal_tolerance, max_time=budget)
+                            goal_tol=sim.goal_tolerance)
     pts = traj.positions
     if len(pts) < 2:
         padding = 0.0

@@ -21,7 +21,7 @@ from .geom import (
     point_segment_distance,
     triangle_contains,
 )
-from .ode import SimConfig, Trajectory, integrate, simulate_to_goal
+from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
 from .prediction import (
     Disk,
     Tri,
@@ -38,8 +38,7 @@ from .unicycle import (
     ControllerParams,
     ControlInput,
     UnicycleState,
-    adaptive_headway_control,
-    fixed_headway_control,
+    _fixed_control,
     headway_frame,
     headway_point,
     heading_vector,
@@ -345,26 +344,15 @@ def check_fixed_headway_offset(seed: int = 0, n: int = 20,
         state, goal = _sample_goal_state(rng, r_range=(0.8, 3.0))
         gain = 1.0
         d = float(rng.uniform(0.2, 0.8))
-
-        def f(yarr):
-            st = UnicycleState(Vec2(float(yarr[0]), float(yarr[1])), float(yarr[2]))
-            u = fixed_headway_control(st, goal, gain, d)
-            vel, w = unicycle_derivative(st, u)
-            return np.array([vel.x, vel.y, w])
-
-        def stop(yarr):
-            hx = yarr[0] + d * math.cos(yarr[2])
-            hy = yarr[1] + d * math.sin(yarr[2])
-            return math.hypot(goal.x - hx, goal.y - hy) <= 1e-6
-
-        y0 = np.array([state.position.x, state.position.y, state.orientation])
-        config = SimConfig(step=0.01, max_time=40.0)
-        _, states = integrate(f, y0, config, stop=stop)
-        if not stop(states[-1]):
+        # no stop radius: the robot never nears the goal, so the run takes 40 s
+        traj = rollout(_fixed_control, (gain, d), state, goal, step=0.01, max_time=40.0,
+                       tol=0.0)
+        x, y, th = traj.states[-1]
+        hx, hy = x + d * math.cos(th), y + d * math.sin(th)
+        if math.hypot(goal.x - hx, goal.y - hy) > 1e-6:
             return CheckResult("fixed-headway-offset", False,
                                "headway point failed to reach the goal")
-        final_r = math.hypot(goal.x - states[-1, 0], goal.y - states[-1, 1])
-        worst = max(worst, abs(final_r - d))
+        worst = max(worst, abs(math.hypot(goal.x - x, goal.y - y) - d))
     return CheckResult("fixed-headway-offset", worst <= tol,
                        f"{n} runs, max |final distance - headway| = {worst:.3e}")
 
@@ -521,22 +509,17 @@ def check_distance_lipschitz(seed: int = 0, n: int = 2000,
 
 
 def check_rk4_order(ratio_range: tuple[float, float] = (12.0, 20.0)) -> CheckResult:
-    """Step-halving error ratio matches fourth-order convergence."""
+    """Step-halving error ratio of ``simulate_to_goal`` matches fourth-order
+    convergence."""
+    start = UnicycleState(Vec2(-2.0, 0.6), 2.2)
     goal = Vec2(0.0, 0.0)
     params = ControllerParams(headway_coeff=0.5, ref_gain=1.0, goal_tolerance=1e-12)
-    y0 = np.array([-2.0, 0.6, 2.2])
-
-    def f(yarr):
-        st = UnicycleState(Vec2(float(yarr[0]), float(yarr[1])), float(yarr[2]))
-        u = adaptive_headway_control(st, goal, params)
-        vel, w = unicycle_derivative(st, u)
-        return np.array([vel.x, vel.y, w])
-
     horizon = 2.0
 
     def final_state(step):
-        _, states = integrate(f, y0, SimConfig(step=step, max_time=horizon))
-        return states[-1]
+        traj = simulate_to_goal(start, goal, params, step=step, goal_tol=1e-12,
+                                max_time=horizon)
+        return traj.states[-1]
 
     ref = final_state(horizon / 4096.0)
     err_h = float(np.linalg.norm(final_state(0.1) - ref))

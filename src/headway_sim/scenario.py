@@ -41,7 +41,7 @@ from typing import Optional
 
 import yaml
 
-from .environment import ClearanceError, Environment, ReferencePath, path_clearance
+from .environment import Environment, ReferencePath, path_clearance, require_path_clearance
 from .geom import Polygon, Vec2
 from .ode import SimConfig
 from .simulation import METHODS
@@ -249,11 +249,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioValidationError(violations)
     assert env is not None and path is not None and controller is not None and sim is not None
 
-    clearance = path_clearance(env, path)
-    if clearance <= 0.0:
-        raise ClearanceError(
-            f"{source}: reference path clearance is {clearance:.6f} m; "
-            "it must be strictly positive")
+    require_path_clearance(path_clearance(env, path), env.robot_radius, source)
 
     return Scenario(name=name, environment=env, path=path, controller=controller,
                     sim=sim, method=method, initial_theta=theta)

@@ -22,11 +22,11 @@ import numpy as np
 import yaml
 
 from .environment import (
-    ClearanceError,
     Environment,
     ReferencePath,
     margin_points,
     path_clearance,
+    require_path_clearance,
     safety_distance,
 )
 from .geom import Vec2
@@ -96,8 +96,8 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
     clearance = safety_distance(env, pred)
     radius = prediction_goal_radius(pred, goal)
     s_rate = min(config.clearance_gain * clearance, config.endpoint_gain * (path.length - s))
-    v, w = _adaptive_control(x, y, th, goal.x, goal.y, params.headway_coeff,
-                             params.ref_gain, params.goal_tolerance)
+    v, w = _adaptive_control(x, y, th, goal.x, goal.y,
+                             (params.headway_coeff, params.ref_gain, params.goal_tolerance))
     return (s_rate, v * math.cos(th), v * math.sin(th), w, v, clearance, radius, pred)
 
 
@@ -213,11 +213,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     ``config.max_time`` first marks the result as non-converged.  Scenarios
     whose reference path lacks positive clearance are rejected outright.
     """
-    clearance0 = path_clearance(env, path)
-    if clearance0 <= 0.0:
-        raise ClearanceError(
-            f"reference path clearance is {clearance0:.6f} m; "
-            "the safe-following guarantee needs a strictly positive value")
+    require_path_clearance(path_clearance(env, path), env.robot_radius)
     if method not in METHODS:
         raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
 
@@ -225,7 +221,6 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     start = path.point_at(0.0)
     goal_end = path.point_at(path.length)
     length = path.length
-    dt = config.step
     stop_tol = config.goal_tolerance
 
     eval_time = 0.0
@@ -250,8 +245,6 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     ts, ss, xs, ys, ths = [t], [s], [x], [y], [th]
     vs, ws, dfs, radii = [], [], [], []
     converged = False
-    half = 0.5 * dt
-    sixth = dt / 6.0
     while True:
         k1 = field(s, x, y, th)
         vs.append(k1[4])
@@ -264,23 +257,18 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
             break
         if t >= config.max_time - 1e-12:
             break
-        dt_eff = min(dt, config.max_time - t)  # land exactly on the horizon
-        if dt_eff != dt:
-            half = 0.5 * dt_eff
-            sixth = dt_eff / 6.0
+        dt = min(config.step, config.max_time - t)  # land exactly on the horizon
+        half = 0.5 * dt
+        sixth = dt / 6.0
         k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3])
         k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3])
-        k4 = field(s + dt_eff * k3[0], x + dt_eff * k3[1], y + dt_eff * k3[2],
-                   th + dt_eff * k3[3])
+        k4 = field(s + dt * k3[0], x + dt * k3[1], y + dt * k3[2], th + dt * k3[3])
         s += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         x += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         y += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         th += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
         s = min(max(s, 0.0), length)  # guard the parameter range against overshoot
-        t += dt_eff
-        if dt_eff != dt:
-            half = 0.5 * dt
-            sixth = dt / 6.0
+        t += dt
         ts.append(t)
         ss.append(s)
         xs.append(x)

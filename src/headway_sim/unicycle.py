@@ -15,8 +15,14 @@ Two controllers are provided:
   parks the robot one headway distance short of the goal.  It is kept as a
   baseline for the steady-state-offset comparison.
 
-Both controllers stop identically (zero input) inside a small goal ball to
-resolve the indeterminacy of the bearing at the goal point itself.
+The adaptive controller stops (zero input) inside a small goal ball to
+resolve the indeterminacy of the bearing at the goal point itself.  The
+fixed controller has no such ball: its equilibrium lies one headway
+distance from the goal, and at the goal it drives the robot backward.
+
+Each law has a scalar kernel, ``law(px, py, theta, gx, gy, coeffs) ->
+(v, w)`` with the law's coefficients in one tuple, which the integrator
+hot loops call directly.
 """
 
 from __future__ import annotations
@@ -142,11 +148,10 @@ def headway_point(state: UnicycleState, goal: Vec2, params: ControllerParams) ->
 
 
 def _adaptive_control(px: float, py: float, theta: float, gx: float, gy: float,
-                      eps: float, gain: float, tol: float) -> tuple[float, float]:
-    """Scalar kernel of the adaptive headway control law.
-
-    Shared by the public controller and the integrator hot loops.
-    """
+                      coeffs: tuple[float, float, float]) -> tuple[float, float]:
+    """Scalar kernel of the adaptive headway control law; ``coeffs`` is
+    ``(headway_coeff, ref_gain, goal_tolerance)``."""
+    eps, gain, tol = coeffs
     dx = gx - px
     dy = gy - py
     r = math.hypot(dx, dy)
@@ -163,12 +168,26 @@ def _adaptive_control(px: float, py: float, theta: float, gx: float, gy: float,
     return v, w
 
 
+def _fixed_control(px: float, py: float, theta: float, gx: float, gy: float,
+                   coeffs: tuple[float, float]) -> tuple[float, float]:
+    """Scalar kernel of the fixed-offset headway law; ``coeffs`` is
+    ``(gain, fixed_distance)``."""
+    gain, d = coeffs
+    dx = gx - px
+    dy = gy - py
+    c = math.cos(theta)
+    s = math.sin(theta)
+    v = gain * (c * dx + s * dy - d)
+    w = (gain / d) * (-s * dx + c * dy)
+    return v, w
+
+
 def adaptive_headway_control(state: UnicycleState, goal: Vec2,
                              params: ControllerParams) -> ControlInput:
     """Adaptive headway control law; exactly zero inside the goal ball."""
     v, w = _adaptive_control(state.position.x, state.position.y, state.orientation,
-                             goal.x, goal.y, params.headway_coeff, params.ref_gain,
-                             params.goal_tolerance)
+                             goal.x, goal.y,
+                             (params.headway_coeff, params.ref_gain, params.goal_tolerance))
     return ControlInput(v, w)
 
 
@@ -177,11 +196,8 @@ def fixed_headway_control(state: UnicycleState, goal: Vec2, gain: float,
     """Classical fixed-offset headway controller (steady-state offset baseline)."""
     if not (fixed_distance > 0.0 and math.isfinite(fixed_distance)):
         raise ValueError(f"fixed_distance must be positive, got {fixed_distance}")
-    delta = goal - state.position
-    o = heading_vector(state.orientation)
-    n = normal_vector(state.orientation)
-    v = gain * (o.dot(delta) - fixed_distance)
-    w = (gain / fixed_distance) * n.dot(delta)
+    v, w = _fixed_control(state.position.x, state.position.y, state.orientation,
+                          goal.x, goal.y, (gain, fixed_distance))
     return ControlInput(v, w)
 
 

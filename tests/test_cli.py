@@ -44,6 +44,14 @@ class TestValidate:
         _edit_scenario(corridor, lambda d: d.update(path=[[0.1, 1.2], [9.9, 1.2]]))
         assert main(["validate", "--scenario", str(corridor)]) == EXIT_CLEARANCE
 
+    def test_path_through_obstacle_says_so(self, corridor, capsys):
+        _edit_scenario(corridor, lambda d: d.update(
+            obstacles=[[[4, 0.2], [8, 0.2], [8, 2.2], [4, 2.2]]]))
+        assert main(["validate", "--scenario", str(corridor)]) == EXIT_CLEARANCE
+        err = capsys.readouterr().err
+        assert "touches or crosses an obstacle or the workspace boundary" in err
+        assert "-0.300000" not in err
+
     def test_parse_exit(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("nope: [unclosed\n")

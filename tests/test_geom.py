@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from headway_sim import geom
 from headway_sim.geom import (
     Polygon,
     Segment,
@@ -174,3 +175,11 @@ class TestBatchHelpers:
                 Vec2(px, py), Segment(Vec2(*a), Vec2(*b)))
                 for a, b in zip(seg_a, seg_b))
             assert abs(batched[i] - scalar) <= 1e-12
+
+        # several full blocks and a partial last one match the unblocked matrix
+        seg_a = rng.uniform(-4, 4, (100, 2))
+        seg_b = rng.uniform(-4, 4, (100, 2))
+        rows = geom._BLOCK_PAIRS // 100
+        pts = rng.uniform(-4, 4, (3 * rows + rows // 2, 2))
+        whole = geom._point_segment_distance_matrix(pts, seg_a, seg_b).min(axis=1)
+        assert np.array_equal(min_distance_to_segments(pts, seg_a, seg_b), whole)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from headway_sim.geom import Vec2
-from headway_sim.ode import SimConfig, integrate, rk4_step, simulate_to_goal
+from headway_sim.ode import SimConfig, rollout, simulate_to_goal
 from headway_sim.properties import check_rk4_order
 from headway_sim.unicycle import ControllerParams, UnicycleState, wrap_angle
 
@@ -23,42 +23,44 @@ class TestSimConfig:
         assert SimConfig(step=0.01, prediction_step=0.05).inner_step() == 0.05
 
 
-class TestIntegrate:
-    def test_constant_input_is_exact(self):
-        def f(y):
-            return np.array([math.cos(y[2]), math.sin(y[2]), 0.0])
+def constant_law(v, w):
+    """Stub control law returning the same input everywhere."""
+    return lambda px, py, th, gx, gy, coeffs: (v, w)
 
-        t, states = integrate(f, np.array([0.0, 0.0, 0.0]),
-                              SimConfig(step=0.01, max_time=1.0))
-        assert t[-1] == pytest.approx(1.0, abs=1e-12)
-        assert states[-1, 0] == pytest.approx(1.0, abs=1e-9)
-        assert states[-1, 1] == pytest.approx(0.0, abs=1e-9)
+
+def run(law, step, max_time, goal=Vec2(100.0, 0.0), tol=0.0):
+    return rollout(law, (), UnicycleState(Vec2(0.0, 0.0), 0.0), goal, step, max_time, tol)
+
+
+class TestIntegrate:
+    """The RK4 rollout under stub laws with known solutions."""
+
+    def test_constant_input_is_exact(self):
+        traj = run(constant_law(1.0, 0.0), step=0.01, max_time=1.0)
+        assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+        assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-9)
+        assert traj.states[-1, 1] == pytest.approx(0.0, abs=1e-9)
+        assert not traj.converged
 
     def test_pure_rotation_advances_angle(self):
-        def f(y):
-            return np.array([0.0, 0.0, 1.0])
-
-        _, states = integrate(f, np.zeros(3), SimConfig(step=0.01, max_time=math.pi))
-        theta = states[-1, 2]
+        traj = run(constant_law(0.0, 1.0), step=0.01, max_time=math.pi)
+        theta = traj.states[-1, 2]
         assert theta == pytest.approx(math.pi, abs=1e-9)
         assert abs(abs(wrap_angle(theta)) - math.pi) < 1e-9
+        assert np.all(traj.positions == 0.0)
 
     def test_final_partial_step_lands_on_horizon(self):
-        def f(y):
-            return np.array([1.0])
+        traj = run(constant_law(1.0, 0.0), step=0.3, max_time=1.0)
+        assert len(traj.t) == 5
+        assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+        assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
-        t, states = integrate(f, np.zeros(1), SimConfig(step=0.3, max_time=1.0))
-        assert t[-1] == pytest.approx(1.0, abs=1e-12)
-        assert states[-1, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_stop_predicate(self):
-        def f(y):
-            return np.array([1.0])
-
-        t, states = integrate(f, np.zeros(1), SimConfig(step=0.1, max_time=10.0),
-                              stop=lambda y: y[0] >= 0.55)
-        assert states[-1, 0] == pytest.approx(0.6, abs=1e-12)
-        assert t[-1] == pytest.approx(0.6, abs=1e-12)
+    def test_stop_radius_ends_run(self):
+        traj = run(constant_law(1.0, 0.0), step=0.1, max_time=10.0,
+                   goal=Vec2(1.0, 0.0), tol=0.45)
+        assert traj.converged
+        assert traj.states[-1, 0] == pytest.approx(0.6, abs=1e-12)
+        assert traj.t[-1] == pytest.approx(0.6, abs=1e-12)
 
     def test_step_halving_changes_little_on_smooth_run(self):
         goal = Vec2(0.0, 0.0)
@@ -72,16 +74,16 @@ class TestIntegrate:
         diff = np.linalg.norm(finals(0.01) - finals(0.005))
         assert diff < 1e-6
 
-    def test_rk4_step_matches_integrate(self):
-        def f(y):
-            return np.array([y[0]])  # exponential growth
-
-        y = np.array([1.0])
-        for _ in range(10):
-            y = rk4_step(f, y, 0.1)
-        _, states = integrate(f, np.array([1.0]), SimConfig(step=0.1, max_time=1.0))
-        assert y[0] == pytest.approx(states[-1, 0], rel=1e-15)
-        assert y[0] == pytest.approx(math.e, rel=1e-5)
+    def test_steps_match_rk4_polynomial(self):
+        # v = x along heading 0 is x' = x; each step multiplies x by the
+        # degree-4 Taylor polynomial of exp(dt)
+        traj = rollout(lambda px, py, th, gx, gy, coeffs: (px, 0.0), (),
+                       UnicycleState(Vec2(1.0, 0.0), 0.0), Vec2(100.0, 0.0),
+                       step=0.1, max_time=1.0, tol=0.0)
+        h = 0.1
+        growth = 1.0 + h + h * h / 2.0 + h ** 3 / 6.0 + h ** 4 / 24.0
+        assert traj.states[-1, 0] == pytest.approx(growth ** 10, rel=1e-14)
+        assert traj.states[-1, 0] == pytest.approx(math.e, rel=1e-5)
 
 
 class TestSimulateToGoal:

@@ -143,9 +143,9 @@ class TestForwardSimPrediction:
             assert float(dists.max()) <= disk.radius + 1e-6
 
     def test_budget_exhaustion_flag(self, monkeypatch):
-        import headway_sim.prediction as prediction_mod
+        import headway_sim.ode as ode_mod
 
-        monkeypatch.setattr(prediction_mod, "convergence_budget", lambda *args: 0.05)
+        monkeypatch.setattr(ode_mod, "convergence_budget", lambda *args: 0.05)
         hull = forward_sim_prediction(state(3, 0, 0), ORIGIN, PARAMS, SimConfig(step=0.01))
         assert not hull.converged
 
