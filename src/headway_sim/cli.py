@@ -208,9 +208,8 @@ def cmd_render(args) -> int:
         goal = scenario.path.point_at(float(base["s"][idx]))
         predictions.append(prediction_set(method, state, goal,
                                           scenario.controller, scenario.sim))
-    spec = RenderSpec(width=args.size, snapshot_times=tuple(snapshots))
     svg = render_svg(scenario.environment, scenario.path, trajectories,
-                     predictions, spec)
+                     predictions, RenderSpec(width=args.size))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg)

@@ -52,7 +52,7 @@ class Environment:
     """
 
     __slots__ = ("workspace", "obstacles", "robot_radius",
-                 "_edge_a", "_edge_b", "_group_starts", "_all_vertices",
+                 "_edge_a", "_edge_b", "_group_starts",
                  "_next_edge", "_ex0", "_ey0", "_ex1", "_ey1", "_dy_safe")
 
     def __init__(self, workspace: Polygon, obstacles: Iterable[Polygon],
@@ -70,28 +70,25 @@ class Environment:
         self.obstacles = obstacles
         self.robot_radius = robot_radius
         polys = (workspace,) + obstacles
-        self._edge_a = np.vstack([p.edge_arrays()[0] for p in polys])
-        self._edge_b = np.vstack([p.edge_arrays()[1] for p in polys])
+        # the boundary vertices are the edge start points; each edge's end
+        # point is the start point of the next edge in its polygon, and the
+        # permutation lets orientation grids be reused
+        self._edge_a = np.vstack([p.xy for p in polys])
         counts = [len(p.vertices) for p in polys]
         self._group_starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
-        self._all_vertices = np.vstack([p.xy for p in polys])
-        # each edge's end point is the start point of the next edge in its
-        # polygon; the permutation lets orientation grids be reused
         nxt = []
         offset = 0
         for c in counts:
             nxt.extend([offset + (k + 1) % c for k in range(c)])
             offset += c
         self._next_edge = np.array(nxt, dtype=np.intp)
+        self._edge_b = self._edge_a[self._next_edge]
         self._ex0 = self._edge_a[:, 0][None, :]
         self._ey0 = self._edge_a[:, 1][None, :]
         self._ex1 = self._edge_b[:, 0][None, :]
         self._ey1 = self._edge_b[:, 1][None, :]
         dy = self._ey1 - self._ey0
         self._dy_safe = np.where(dy == 0.0, 1.0, dy)
-
-    def boundary_vertices(self) -> np.ndarray:
-        return self._all_vertices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Environment):
@@ -154,7 +151,7 @@ def _segments_to_boundary(env: Environment, pts: np.ndarray, dist: np.ndarray,
     cover every other configuration, collinear overlap included.
     """
     a, b = pts[start], pts[end]
-    d_rev = _point_segment_distance_matrix(env.boundary_vertices(), a, b)
+    d_rev = _point_segment_distance_matrix(env._edge_a, a, b)
     # orientation of the points against env edges; consecutive points and
     # edges share rows and columns, so two grids cover all four
     o_pts = ((env._ex1 - env._ex0) * (pts[:, None, 1] - env._ey0)
@@ -179,7 +176,7 @@ def _triangle_safety(env: Environment, tri: Triangle) -> float:
         return 0.0
     # an obstacle swallowed whole by the triangle escapes the edge-distance
     # test, so probe boundary vertices for containment
-    if bool(triangle_contains(verts, env.boundary_vertices()).any()):
+    if bool(triangle_contains(verts, env._edge_a).any()):
         return 0.0
     edge_clearance = (_segments_to_boundary(env, verts, dist, slice(None), _NEXT_VERTEX)
                       - env.robot_radius)
@@ -207,7 +204,7 @@ class ReferencePath:
     construction; the parameter is clamped into [0, length].
     """
 
-    __slots__ = ("waypoints", "_xy", "_cum", "_cum_list", "_pts_list", "length")
+    __slots__ = ("waypoints", "_xy", "_cum_list", "_pts_list", "length")
 
     def __init__(self, waypoints: Sequence[Vec2]):
         pts = tuple(waypoints)
@@ -220,17 +217,12 @@ class ReferencePath:
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.waypoints = pts
         self._xy = xy
-        self._cum = cum
         self._cum_list = cum.tolist()
         self._pts_list = [(p.x, p.y) for p in pts]
         self.length = float(cum[-1])
 
-    @property
-    def cumulative_lengths(self) -> np.ndarray:
-        return self._cum
-
     def point_at(self, s: float) -> Vec2:
-        # scalar fast path: called four times per integrator step
+        # called four times per integrator step, so it stays scalar
         cum = self._cum_list
         pts = self._pts_list
         if s <= 0.0:
@@ -244,18 +236,6 @@ class ReferencePath:
         x0, y0 = pts[i]
         x1, y1 = pts[i + 1]
         return Vec2(x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
-
-    def points_at(self, s: np.ndarray) -> np.ndarray:
-        return self._interp(np.asarray(s, dtype=float))
-
-    def _interp(self, s: np.ndarray) -> np.ndarray:
-        s = np.clip(s, 0.0, self.length)
-        idx = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self._cum) - 2)
-        s0 = self._cum[idx]
-        seg = self._xy[idx + 1] - self._xy[idx]
-        seg_len = self._cum[idx + 1] - s0
-        frac = ((s - s0) / seg_len)[:, None]
-        return self._xy[idx] + frac * seg
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReferencePath):

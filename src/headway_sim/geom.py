@@ -66,9 +66,6 @@ class Vec2:
         """Counterclockwise quarter-turn of this vector."""
         return Vec2(-self.y, self.x)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 def rotate(v: Vec2, angle: float) -> Vec2:
     """Rotate ``v`` counterclockwise by ``angle`` radians about the origin."""
@@ -85,9 +82,6 @@ class Segment:
     a: Vec2
     b: Vec2
 
-    def length(self) -> float:
-        return (self.b - self.a).norm()
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -100,9 +94,6 @@ class Triangle:
     @property
     def vertices(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.v0, self.v1, self.v2)
-
-    def double_signed_area(self) -> float:
-        return (self.v1 - self.v0).cross(self.v2 - self.v0)
 
     def vertex_array(self) -> np.ndarray:
         return np.array([[v.x, v.y] for v in self.vertices], dtype=float)
@@ -165,7 +156,7 @@ class Polygon:
     assume a well-formed boundary.
     """
 
-    __slots__ = ("vertices", "_xy", "_edge_a", "_edge_b")
+    __slots__ = ("vertices", "_xy")
 
     def __init__(self, vertices: Iterable[Vec2]):
         verts = tuple(vertices)
@@ -183,8 +174,6 @@ class Polygon:
             raise ValueError("polygon must be simple (edges may not cross)")
         self.vertices = verts
         self._xy = xy
-        self._edge_a = edge_a
-        self._edge_b = edge_b
 
     @staticmethod
     def _self_intersects(verts: Sequence[Vec2]) -> bool:
@@ -202,10 +191,6 @@ class Polygon:
     def xy(self) -> np.ndarray:
         """Vertex coordinates, shape (V, 2). Treat as read-only."""
         return self._xy
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge start/end points as two (V, 2) arrays."""
-        return self._edge_a, self._edge_b
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polygon):

@@ -26,31 +26,23 @@ class RenderError(Exception):
     """Rendering input is unusable (empty trajectory, malformed rows)."""
 
 
+# world margin around the workspace (m), line width (px), and speed bars:
+# one every _SPEED_BAR_STRIDE samples, _SPEED_BAR_SCALE meters per m/s
+_WORLD_PADDING = 0.5
+_STROKE_WIDTH = 2.0
+_SPEED_BAR_STRIDE = 40
+_SPEED_BAR_SCALE = 0.3
+
+
 @dataclass(frozen=True)
 class RenderSpec:
-    """Canvas geometry and layer toggles.
-
-    speed_bar_scale converts m/s into meters of bar length; bars are drawn
-    perpendicular to the local motion direction every ``speed_bar_stride``
-    samples.
-    """
+    """Canvas width in pixels; the height follows the workspace aspect."""
 
     width: int = 720
-    world_padding: float = 0.5
-    stroke_width: float = 2.0
-    show_path: bool = True
-    show_trajectories: bool = True
-    show_predictions: bool = True
-    show_speed_bars: bool = True
-    snapshot_times: tuple[float, ...] = ()
-    speed_bar_stride: int = 40
-    speed_bar_scale: float = 0.3
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError(f"canvas width must be positive, got {self.width}")
-        if self.stroke_width <= 0:
-            raise ValueError(f"stroke width must be positive, got {self.stroke_width}")
 
 
 def _fmt(x: float) -> str:
@@ -60,7 +52,7 @@ def _fmt(x: float) -> str:
 class _Canvas:
     def __init__(self, env: Environment, spec: RenderSpec):
         xy = env.workspace.xy
-        pad = spec.world_padding
+        pad = _WORLD_PADDING
         self.min_x = float(xy[:, 0].min()) - pad
         self.max_y = float(xy[:, 1].max()) + pad
         world_w = float(xy[:, 0].max()) + pad - self.min_x
@@ -97,15 +89,17 @@ def render_svg(env: Environment, path: ReferencePath | None = None,
     """Compose the scene into an SVG document string.
 
     ``trajectories`` are column mappings as produced by
-    ``read_trajectory_csv``; each must contain ``x``/``y`` (and ``theta``,
-    ``v`` when speed bars are enabled) with at least one row.
+    ``read_trajectory_csv``; each must contain ``x``/``y`` with at least one
+    row.  Speed bars are drawn for each trajectory that also has ``v`` and
+    ``theta``.  Leave out a layer by passing no path, predictions or
+    trajectories.
     """
     for i, traj in enumerate(trajectories):
         if len(traj.get("x", ())) == 0:
             raise RenderError(f"trajectory {i} is empty; nothing to draw")
 
     canvas = _Canvas(env, spec)
-    sw = spec.stroke_width
+    sw = _STROKE_WIDTH
     out: list[str] = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" '
                f'height="{canvas.height}" viewBox="0 0 {canvas.width} {canvas.height}">')
@@ -118,23 +112,21 @@ def render_svg(env: Environment, path: ReferencePath | None = None,
         out.append(f'<polygon class="obstacle" stroke-width="{_fmt(0.5 * sw)}" points="'
                    + canvas.polyline_points(obs.xy[:, 0], obs.xy[:, 1]) + '"/>')
 
-    if path is not None and spec.show_path:
+    if path is not None:
         xy = np.array([[p.x, p.y] for p in path.waypoints])
         out.append(f'<polyline class="refpath" stroke-width="{_fmt(sw)}" points="'
                    + canvas.polyline_points(xy[:, 0], xy[:, 1]) + '"/>')
 
-    if spec.show_predictions:
-        for pred in predictions:
-            out.append(_prediction_element(pred, canvas, sw))
+    for pred in predictions:
+        out.append(_prediction_element(pred, canvas, sw))
 
-    if spec.show_trajectories:
-        for i, traj in enumerate(trajectories):
-            color = _TRAJECTORY_COLORS[i % len(_TRAJECTORY_COLORS)]
-            if spec.show_speed_bars and "v" in traj and "theta" in traj:
-                out.extend(_speed_bars(traj, canvas, spec, color, i))
-            out.append(f'<polyline class="trajectory traj{i}" stroke="{color}" '
-                       f'stroke-width="{_fmt(sw)}" points="'
-                       + canvas.polyline_points(traj["x"], traj["y"]) + '"/>')
+    for i, traj in enumerate(trajectories):
+        color = _TRAJECTORY_COLORS[i % len(_TRAJECTORY_COLORS)]
+        if "v" in traj and "theta" in traj:
+            out.extend(_speed_bars(traj, canvas, color, i))
+        out.append(f'<polyline class="trajectory traj{i}" stroke="{color}" '
+                   f'stroke-width="{_fmt(sw)}" points="'
+                   + canvas.polyline_points(traj["x"], traj["y"]) + '"/>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -163,8 +155,7 @@ def _prediction_element(pred: PredictionSet, canvas: _Canvas, sw: float) -> str:
     raise RenderError(f"cannot render prediction set {pred!r}")
 
 
-def speed_profile_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
-                      width: int = 720, height: int = 320) -> str:
+def speed_profile_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> str:
     """Overlay of speed-versus-time curves, one per labeled run.
 
     ``series`` holds ``(label, t, v)`` triples; speeds are plotted as
@@ -179,6 +170,7 @@ def speed_profile_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     v_max = max(float(np.abs(v).max()) for _, _, v in series)
     t_max = t_max if t_max > 0 else 1.0
     v_max = v_max if v_max > 0 else 1.0
+    width, height = 720, 320
     left, right, top, bottom = 50.0, 10.0, 10.0, 30.0
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -210,13 +202,13 @@ def speed_profile_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     return "\n".join(out) + "\n"
 
 
-def _speed_bars(traj: Mapping[str, np.ndarray], canvas: _Canvas, spec: RenderSpec,
-                color: str, index: int) -> list[str]:
+def _speed_bars(traj: Mapping[str, np.ndarray], canvas: _Canvas, color: str,
+                index: int) -> list[str]:
     xs, ys = traj["x"], traj["y"]
     ths, vs = traj["theta"], traj["v"]
     bars = []
-    for k in range(0, len(xs), max(1, spec.speed_bar_stride)):
-        bar = abs(float(vs[k])) * spec.speed_bar_scale
+    for k in range(0, len(xs), _SPEED_BAR_STRIDE):
+        bar = abs(float(vs[k])) * _SPEED_BAR_SCALE
         if bar == 0.0:
             continue
         nx = -np.sin(ths[k]) * bar
@@ -224,6 +216,6 @@ def _speed_bars(traj: Mapping[str, np.ndarray], canvas: _Canvas, spec: RenderSpe
         x0, y0 = canvas.to_px(float(xs[k]), float(ys[k]))
         x1, y1 = canvas.to_px(float(xs[k] + nx), float(ys[k] + ny))
         bars.append(f'<line class="speedbar speed{index}" stroke="{color}" '
-                    f'stroke-width="{_fmt(spec.stroke_width)}" '
+                    f'stroke-width="{_fmt(_STROKE_WIDTH)}" '
                     f'x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
     return bars

@@ -62,6 +62,9 @@ CSV_COLUMNS = ("t", "s", "x", "y", "theta", "v", "omega", "delta_F",
 class NonConvergenceError(Exception):
     """An inner forward simulation exhausted its contraction-time budget.
 
+    The message names the step start time, the stage pose the simulation
+    started from and the path point it aimed at.
+
     Should be unreachable with valid parameters; it indicates an
     integration or configuration fault rather than a controller failure.
     """
@@ -232,9 +235,11 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         k = governor_field(env, path, params, method, config, s, x, y, th)
         pred = k[7]
         if isinstance(pred, Hull) and not pred.converged:
+            goal = path.point_at(s)
             raise NonConvergenceError(
-                f"forward simulation from t={t:.3f}s failed to reach the "
-                "path point within its contraction budget")
+                f"forward simulation from t={t:.3f}s failed to reach the path point "
+                f"within its contraction budget; stage pose x={x:.4f} y={y:.4f} "
+                f"theta={th:.4f}, path point s={s:.4f} at ({goal.x:.4f}, {goal.y:.4f})")
         eval_time += time.perf_counter() - t0
         eval_count += 1
         return k

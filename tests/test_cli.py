@@ -182,10 +182,10 @@ class TestRender:
         csv = self._run_once(corridor, tmp_path)
         svg_path = tmp_path / "fig.svg"
         code = main(["render", "--scenario", str(corridor), "--csv", str(csv),
-                     "--out", str(svg_path), "--snapshots", "1.0"])
+                     "--out", str(svg_path), "--snapshots", "1.0,2.0"])
         assert code == EXIT_OK
         svg = svg_path.read_text()
-        assert '<polygon class="prediction"' in svg
+        assert svg.count('<polygon class="prediction"') == 2
 
     def test_two_csv_overlay(self, corridor, tmp_path):
         csv = self._run_once(corridor, tmp_path)

@@ -69,7 +69,7 @@ class TestTriangularBound:
         assert tri.v1 == Vec2(1, 0)
         assert tri.v2.x == pytest.approx(0.5, abs=1e-12)
         assert abs(tri.v2.y) < 1e-15
-        assert abs(tri.double_signed_area()) < 1e-15
+        assert abs((tri.v1 - tri.v0).cross(tri.v2 - tri.v0)) < 1e-15
 
     def test_at_goal_is_a_point(self):
         tri = triangular_bound(state(0, 0, 0.2), ORIGIN, PARAMS)

@@ -64,17 +64,19 @@ class TestRenderSvg:
         assert a == b
 
     def test_speed_bars_drawn(self, env, path):
-        svg = render_svg(env, path, [traj(200)], [],
-                         RenderSpec(speed_bar_stride=20))
-        assert '<line class="speedbar speed0"' in svg
+        svg = render_svg(env, path, [traj(200)], [])
+        # one bar every 40 samples
+        assert svg.count('<line class="speedbar speed0"') == 5
 
     def test_layer_toggles(self, env, path):
-        spec = RenderSpec(show_path=False, show_speed_bars=False,
-                          show_predictions=False)
-        svg = render_svg(env, path, [traj()], [Disk(Vec2(2, 2), 0.8)], spec)
+        # each layer is left out by leaving out its input
+        no_v = {k: c for k, c in traj().items() if k != "v"}
+        svg = render_svg(env, None, [no_v], [])
         assert '<polyline class="refpath"' not in svg
         assert '<line class="speedbar' not in svg
         assert '<circle class="prediction"' not in svg
+        assert 'class="trajectory traj0"' in svg
+        assert '<line class="speedbar' in render_svg(env, None, [traj()], [])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="width"):

@@ -122,7 +122,10 @@ class TestRunEpisode:
 
         monkeypatch.setattr(sim_mod, "forward_sim_prediction", truncated)
         env, path, params, config = simple_setup
-        with pytest.raises(NonConvergenceError):
+        # the message names the stage pose and the path point, here the start
+        with pytest.raises(NonConvergenceError,
+                           match=r"stage pose x=2\.0000 y=5\.0000 theta=0\.0000, "
+                                 r"path point s=0\.0000 at \(2\.0000, 5\.0000\)"):
             run_episode(env, path, params, "forward-sim", config)
 
     def test_initial_theta_defaults_to_path_direction(self, simple_setup):
