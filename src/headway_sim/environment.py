@@ -22,6 +22,7 @@ from .geom import (
     Triangle,
     Vec2,
     _point_segment_distance_matrix,
+    segments_meet,
     triangle_contains,
 )
 from .prediction import Disk, Hull, PredictionSet, Tri
@@ -143,28 +144,15 @@ def free_space_margin(env: Environment, p: Vec2) -> float:
 def _segments_to_boundary(env: Environment, pts: np.ndarray, dist: np.ndarray,
                           start: slice | np.ndarray, end: slice | np.ndarray) -> float:
     """Smallest distance from the segments ``pts[start] -> pts[end]`` to the
-    boundary edges; zero when a segment properly crosses an edge.
+    boundary edges; zero when a segment touches or crosses an edge.
 
     ``dist`` holds the point/edge distances of ``pts``, which already cover
-    the segment-end-to-edge direction.  The reverse direction and a
-    proper-crossing test complete the edge-edge minimum; endpoint distances
-    cover every other configuration, collinear overlap included.
+    the segment-end-to-edge direction; the reverse direction completes the
+    edge-edge minimum for segments that miss the boundary.
     """
-    a, b = pts[start], pts[end]
-    d_rev = _point_segment_distance_matrix(env._edge_a, a, b)
-    # orientation of the points against env edges; consecutive points and
-    # edges share rows and columns, so two grids cover all four
-    o_pts = ((env._ex1 - env._ex0) * (pts[:, None, 1] - env._ey0)
-             - (env._ey1 - env._ey0) * (pts[:, None, 0] - env._ex0))
-    o1, o2 = o_pts[start], o_pts[end]
-    sx = (b[:, 0] - a[:, 0])[:, None]
-    sy = (b[:, 1] - a[:, 1])[:, None]
-    o3 = sx * (env._ey0 - a[:, 1][:, None]) - sy * (env._ex0 - a[:, 0][:, None])
-    o4 = o3[:, env._next_edge]
-    proper = (((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
-              & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0))
-    if bool(proper.any()):
+    if bool(segments_meet(pts, start, end, env._edge_a, env._next_edge).any()):
         return 0.0
+    d_rev = _point_segment_distance_matrix(env._edge_a, pts[start], pts[end])
     return min(float(dist.min()), float(d_rev.min()))
 
 

@@ -1,17 +1,19 @@
 """2-D geometric primitives used throughout the simulator.
 
 Scalar value types (Vec2, Segment, Triangle, Polygon) validate their inputs
-at construction and are safe to share across threads.  The batch helpers
-(``min_distance_to_segments``, ``triangle_contains``) operate on ``(N, 2)``
-float arrays for queries along trajectories and against boundary vertices,
-where per-call Python overhead would dominate.
+at construction and are safe to share across threads.  The batch kernels
+operate on ``(N, 2)`` float arrays for queries along trajectories and
+against boundary vertices, where per-call Python overhead would dominate.
+Each concept has one: ``min_distance_to_segments`` (point-segment distance),
+``segments_meet`` (closed segment intersection, which also validates
+polygons), ``triangle_contains`` and ``triangle_distance``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +24,9 @@ __all__ = [
     "Polygon",
     "rotate",
     "point_segment_distance",
+    "segments_meet",
     "triangle_contains",
+    "triangle_distance",
     "min_distance_to_segments",
 ]
 
@@ -118,36 +122,6 @@ def _point_segment_distance(zx: float, zy: float, ax: float, ay: float,
     return math.hypot(zx - (ax + t * dx), zy - (ay + t * dy))
 
 
-def _orientation(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _on_segment(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> bool:
-    # collinearity assumed; checks r within the bounding box of [p, q]
-    return (min(px, qx) <= rx <= max(px, qx)) and (min(py, qy) <= ry <= max(py, qy))
-
-
-def segments_intersect(s1: Segment, s2: Segment) -> bool:
-    """True when the closed segments share at least one point."""
-    ax, ay, bx, by = s1.a.x, s1.a.y, s1.b.x, s1.b.y
-    cx, cy, dx, dy = s2.a.x, s2.a.y, s2.b.x, s2.b.y
-    d1 = _orientation(cx, cy, dx, dy, ax, ay)
-    d2 = _orientation(cx, cy, dx, dy, bx, by)
-    d3 = _orientation(ax, ay, bx, by, cx, cy)
-    d4 = _orientation(ax, ay, bx, by, dx, dy)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and _on_segment(cx, cy, dx, dy, ax, ay):
-        return True
-    if d2 == 0 and _on_segment(cx, cy, dx, dy, bx, by):
-        return True
-    if d3 == 0 and _on_segment(ax, ay, bx, by, cx, cy):
-        return True
-    if d4 == 0 and _on_segment(ax, ay, bx, by, dx, dy):
-        return True
-    return False
-
-
 class Polygon:
     """Simple polygon with counterclockwise vertices, implicitly closed.
 
@@ -170,21 +144,26 @@ class Polygon:
         area2 = float(np.sum(edge_a[:, 0] * edge_b[:, 1] - edge_a[:, 1] * edge_b[:, 0]))
         if area2 <= 0.0:
             raise ValueError("polygon vertices must be in counterclockwise order")
-        if self._self_intersects(verts):
+        if self._self_intersects(xy):
             raise ValueError("polygon must be simple (edges may not cross)")
         self.vertices = verts
         self._xy = xy
 
     @staticmethod
-    def _self_intersects(verts: Sequence[Vec2]) -> bool:
-        n = len(verts)
-        edges = [Segment(verts[i], verts[(i + 1) % n]) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue  # adjacent edges share a vertex by construction
-                if segments_intersect(edges[i], edges[j]):
-                    return True
+    def _self_intersects(xy: np.ndarray) -> bool:
+        n = len(xy)
+        ring = np.vstack([xy, xy[:1]])
+        nxt = np.roll(np.arange(n), -1)
+        rows = max(1, _BLOCK_PAIRS // n)
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            meet = segments_meet(ring[i:j + 1], slice(None, -1), slice(1, None), xy, nxt)
+            # an edge meets itself and shares a vertex with both neighbours
+            # (row edge - column edge) mod n in {n - 1, 0, 1}
+            k = np.arange(i, j)[:, None] - np.arange(n)
+            meet[(k + 1) % n <= 2] = False
+            if bool(meet.any()):
+                return True
         return False
 
     @property
@@ -243,6 +222,43 @@ def min_distance_to_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
     return out
 
 
+def segments_meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.ndarray,
+                  edge_a: np.ndarray, next_edge: np.ndarray) -> np.ndarray:
+    """Closed intersection of the segments ``pts[start] -> pts[end]`` with
+    the edges ``edge_a -> edge_a[next_edge]``, shape (S, M).
+
+    True where the two share a point, touching and collinear overlap
+    included.  The orientations are the only arithmetic: the two cross where
+    each one's endpoints lie on opposite sides of the other's line, and a
+    point whose orientation against the other segment is exactly zero meets
+    it when it lies in that segment's bounding box.  Each point's
+    orientations are computed once, so segments that share endpoints (a
+    polyline, a closed ring) share them, and so do edges that share
+    vertices.
+    """
+    ex0, ey0 = edge_a[:, 0], edge_a[:, 1]
+    edge_b = edge_a[next_edge]
+    ex1, ey1 = edge_b[:, 0], edge_b[:, 1]
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    # orientation of every point against every edge, and of every edge
+    # start against every segment; rows and columns give all four
+    o_pts = (ex1 - ex0) * (py - ey0) - (ey1 - ey0) * (px - ex0)
+    a, b = pts[start], pts[end]
+    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
+    o_edge = (bx - ax) * (ey0 - ay) - (by - ay) * (ex0 - ax)
+    pos_pts, pos_edge = o_pts > 0, o_edge > 0
+    meet = (pos_pts[start] != pos_pts[end]) & (pos_edge != pos_edge[:, next_edge])
+    if o_pts.all() and o_edge.all():
+        return meet
+    # zeros count as negative above, which in exact arithmetic only adds
+    # crossings at the zero point itself; the box tests find every touch
+    on_edge = ((o_pts == 0) & (np.minimum(ex0, ex1) <= px) & (px <= np.maximum(ex0, ex1))
+               & (np.minimum(ey0, ey1) <= py) & (py <= np.maximum(ey0, ey1)))
+    on_seg = ((o_edge == 0) & (np.minimum(ax, bx) <= ex0) & (ex0 <= np.maximum(ax, bx))
+              & (np.minimum(ay, by) <= ey0) & (ey0 <= np.maximum(ay, by)))
+    return meet | on_edge[start] | on_edge[end] | on_seg | on_seg[:, next_edge]
+
+
 _NEXT_VERTEX = np.array([1, 2, 0], dtype=np.intp)
 
 
@@ -250,17 +266,17 @@ def triangle_contains(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Closed membership of N points in the triangle with vertex rows
     ``verts`` (3, 2), shape (N,).
 
-    Exact for collinear (degenerate) triangles, whose hull is the longest
-    pairwise segment; the vertex order may be either orientation.
+    Exact for collinear (degenerate) triangles, whose hull is the union of
+    their edges: a point belongs when it meets an edge as a zero-length
+    segment, so every vertex belongs even where rounding puts the middle
+    one off the line of the outer two.  The vertex order may be either
+    orientation.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     (x0, y0), (x1, y1), (x2, y2) = verts.tolist()
     area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if area2 == 0.0:
-        a, b = verts[[0, 1, 0]], verts[[1, 2, 2]]
-        d = b - a
-        k = int(np.argmax(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
-        return min_distance_to_segments(pts, a[k:k + 1], b[k:k + 1]) == 0.0
+        return segments_meet(pts, slice(None), slice(None), verts, _NEXT_VERTEX).any(axis=1)
     edge = verts[_NEXT_VERTEX] - verts
     # (3, N) cross products of each edge with the vertex-to-point vectors
     cross = (edge[:, 0, None] * (pts[None, :, 1] - verts[:, 1, None])
@@ -268,3 +284,12 @@ def triangle_contains(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if area2 < 0.0:
         cross = -cross
     return (cross >= 0.0).all(axis=0)
+
+
+def triangle_distance(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from N points to the closed triangle with vertex rows
+    ``verts`` (3, 2), shape (N,): zero inside, the edge distance outside."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    d = min_distance_to_segments(pts, verts, verts[_NEXT_VERTEX])
+    d[triangle_contains(verts, pts)] = 0.0
+    return d

@@ -27,14 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .geom import (
-    Segment,
-    Triangle,
-    Vec2,
-    min_distance_to_segments,
-    point_segment_distance,
-    triangle_contains,
-)
+from .geom import Triangle, Vec2, min_distance_to_segments, triangle_distance
 from .ode import SimConfig, simulate_to_goal
 from .unicycle import (
     ControllerParams,
@@ -221,14 +214,7 @@ def prediction_distance(pred: PredictionSet, z: Vec2) -> float:
     if isinstance(pred, Disk):
         return max(0.0, (z - pred.center).norm() - pred.radius)
     if isinstance(pred, Tri):
-        tri = pred.triangle
-        if triangle_contains(tri.vertex_array(), [[z.x, z.y]])[0]:
-            return 0.0
-        return min(
-            point_segment_distance(z, Segment(tri.v0, tri.v1)),
-            point_segment_distance(z, Segment(tri.v1, tri.v2)),
-            point_segment_distance(z, Segment(tri.v2, tri.v0)),
-        )
+        return float(triangle_distance(pred.triangle.vertex_array(), [[z.x, z.y]])[0])
     if isinstance(pred, Hull):
         pts = pred.points
         zz = np.array([z.x, z.y])

@@ -19,7 +19,7 @@ from .geom import (
     Vec2,
     min_distance_to_segments,
     point_segment_distance,
-    triangle_contains,
+    triangle_distance,
 )
 from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
 from .prediction import (
@@ -364,13 +364,6 @@ def check_fixed_headway_offset(seed: int = 0, n: int = 20,
 # prediction set properties
 
 
-def _triangle_violation(tri: Triangle, pts: np.ndarray) -> float:
-    """Largest distance of the points outside the (possibly degenerate) triangle."""
-    verts = tri.vertex_array()
-    d = min_distance_to_segments(pts, verts, np.roll(verts, -1, axis=0))
-    return float(np.where(triangle_contains(verts, pts), 0.0, d).max())
-
-
 def check_trajectory_containment(cases: list[TrajectoryCase],
                                  tol: float = 1e-6) -> CheckResult:
     """The whole closed-loop trajectory stays inside every prediction set of
@@ -382,13 +375,11 @@ def check_trajectory_containment(cases: list[TrajectoryCase],
         disk = circular_prediction(case.state, goal, case.params)
         dists = np.hypot(pts[:, 0] - goal.x, pts[:, 1] - goal.y)
         worst["circle"] = max(worst["circle"], float(dists.max()) - disk.radius)
-        worst["triangle-bound"] = max(
-            worst["triangle-bound"],
-            _triangle_violation(triangular_bound(case.state, goal, case.params), pts))
-        worst["triangle"] = max(
-            worst["triangle"],
-            _triangle_violation(triangular_prediction(case.state, goal, case.params).triangle,
-                                pts))
+        bound = triangular_bound(case.state, goal, case.params).vertex_array()
+        tri = triangular_prediction(case.state, goal, case.params).triangle.vertex_array()
+        worst["triangle-bound"] = max(worst["triangle-bound"],
+                                      float(triangle_distance(bound, pts).max()))
+        worst["triangle"] = max(worst["triangle"], float(triangle_distance(tri, pts).max()))
         hull = forward_sim_prediction(
             case.state, goal, case.params,
             SimConfig(step=case.step, prediction_step=2.0 * case.step,

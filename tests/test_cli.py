@@ -52,6 +52,14 @@ class TestValidate:
         assert "touches or crosses an obstacle or the workspace boundary" in err
         assert "-0.300000" not in err
 
+    def test_path_through_obstacle_vertex_says_so(self, corridor, capsys):
+        _edit_scenario(corridor, lambda d: d.update(
+            workspace=[[-10, -10], [10, -10], [10, 10], [-10, 10]],
+            obstacles=[[[0.5, 0.18000000000000002], [0.3, 0.5], [0.2, 0.1]]],
+            robot_radius=0.01, path=[[0.5, 0], [0.5, 1.8]]))
+        assert main(["validate", "--scenario", str(corridor)]) == EXIT_CLEARANCE
+        assert "touches or crosses" in capsys.readouterr().err
+
     def test_parse_exit(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("nope: [unclosed\n")

@@ -290,3 +290,13 @@ class TestPathClearance:
                           robot_radius=0.01)
         path = ReferencePath([Vec2(1, 1), Vec2(99, 99)])
         assert path_clearance(env, path) <= -0.01
+
+    def test_path_through_obstacle_vertex_touches(self):
+        # the path meets the vertex exactly; the rounded point-segment
+        # distance there is not zero, the orientation is
+        env = Environment(square(20, -10, -10),
+                          [Polygon([Vec2(0.5, 0.18000000000000002), Vec2(0.3, 0.5),
+                                    Vec2(0.2, 0.1)])],
+                          robot_radius=0.01)
+        path = ReferencePath([Vec2(0.5, 0), Vec2(0.5, 1.8)])
+        assert path_clearance(env, path) == -0.01

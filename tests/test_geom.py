@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headway_sim import geom
 from headway_sim.geom import (
@@ -12,6 +15,7 @@ from headway_sim.geom import (
     min_distance_to_segments,
     point_segment_distance,
     rotate,
+    segments_meet,
     triangle_contains,
 )
 
@@ -118,6 +122,15 @@ class TestTriangleContains:
         inside = triangle_contains(degenerate.vertex_array(),
                                    [[1.5, 0], [1.5, 1e-12], [2.5, 0]])
         assert inside.tolist() == [True, False, False]
+        # on the segment, though its rounded distance to it is not zero
+        vertical = Triangle(Vec2(0.5, 0), Vec2(0.5, 1.8), Vec2(0.5, 0.9))
+        assert contains(vertical, Vec2(0.5, 0.18000000000000002))
+        # area zero as computed, though the middle vertex rounds off the
+        # line of the outer two; every vertex still belongs
+        flat = np.array([[4.682635074840451, 1.918703982633359],
+                         [2.5926850053957997, 0.9698773052375644],
+                         [6.769607577104927, 2.8661788597083744]])
+        assert triangle_contains(flat, flat).all()
 
     def test_vertices_and_edges_included(self):
         assert contains(self.tri, Vec2(0, 0))
@@ -140,6 +153,47 @@ class TestTriangleContains:
         assert not contains(cw, Vec2(1, 1))
 
 
+def _meet_exact(a, b, c, d) -> bool:
+    """Closed intersection of segments ab and cd in rational arithmetic,
+    from the parametric form a + t (b - a) = c + u (d - c)."""
+    a, b, c, d = ([Fraction(v) for v in p] for p in (a, b, c, d))
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    q = (c[0] - a[0], c[1] - a[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    if denom != 0:
+        t = (q[0] * s[1] - q[1] * s[0]) / denom
+        u = (q[0] * r[1] - q[1] * r[0]) / denom
+        return 0 <= t <= 1 and 0 <= u <= 1
+    if q[0] * r[1] - q[1] * r[0] != 0 or q[0] * s[1] - q[1] * s[0] != 0:
+        return False  # parallel lines, or a point off the other's line
+    # on one line (or points): the bounding boxes overlap on both axes
+    return all(max(min(a[k], b[k]), min(c[k], d[k])) <= min(max(a[k], b[k]), max(c[k], d[k]))
+               for k in (0, 1))
+
+
+_grid_points = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6)
+
+
+class TestSegmentsMeet:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=_grid_points, ring=_grid_points, data=st.data())
+    def test_matches_rational_predicate(self, pts, ring, data):
+        # on a small integer grid every orientation is exact in floats, so
+        # the predicate must agree with rational arithmetic, degenerate and
+        # collinear segments included
+        index = st.integers(0, len(pts) - 1)
+        start = data.draw(st.lists(index, min_size=1, max_size=6))
+        end = data.draw(st.lists(index, min_size=len(start), max_size=len(start)))
+        nxt = np.roll(np.arange(len(ring)), -1)
+        meet = segments_meet(np.array(pts, dtype=float), np.array(start), np.array(end),
+                             np.array(ring, dtype=float), nxt)
+        assert meet.shape == (len(start), len(ring))
+        for i, (s, e) in enumerate(zip(start, end)):
+            for j in range(len(ring)):
+                assert meet[i, j] == _meet_exact(pts[s], pts[e], ring[j], ring[nxt[j]])
+
+
 class TestPolygon:
     def test_rejects_too_few_vertices(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -153,6 +207,39 @@ class TestPolygon:
         # positive signed area but one edge crosses another
         with pytest.raises(ValueError, match="simple"):
             Polygon([Vec2(0, 0), Vec2(3, 0), Vec2(1, 2), Vec2(2, -1)])
+
+    def test_rejects_vertex_on_other_edge(self):
+        # the notch tip (2, 0) touches the bottom edge without crossing it
+        with pytest.raises(ValueError, match="simple"):
+            Polygon([Vec2(*p) for p in
+                     [(0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)]])
+
+    def test_rejects_collinear_overlap(self):
+        # the slot floor (3, 0) -> (1, 0) runs back along the bottom edge
+        with pytest.raises(ValueError, match="simple"):
+            Polygon([Vec2(*p) for p in
+                     [(0, 0), (4, 0), (4, 3), (3, 3), (3, 0), (1, 0), (1, 3), (0, 3)]])
+
+    def test_accepts_star_outline(self):
+        # the outline of the benchmark's cluttered-scene obstacles
+        phi = np.arange(96) * (2.0 * math.pi / 96)
+        radius = 1.0 + 0.04 * np.cos(2 * phi + 0.3) + 0.03 * np.cos(5 * phi + 1.1)
+        star = Polygon([Vec2(float(r * math.cos(p)), float(r * math.sin(p)))
+                        for r, p in zip(radius, phi)])
+        assert len(star.vertices) == 96
+
+    def test_rejects_touch_in_last_block(self):
+        # a long bottom edge in unit steps, then a pinch: vertex 87 lies on
+        # the closing edge 89, and both sit in the last block of rows
+        def outline(pinch_x):
+            return ([Vec2(k, 0) for k in range(85)]
+                    + [Vec2(*p) for p in [(84, 10), (10, 10), (pinch_x, 5), (5, 8), (0, 10)]])
+        n = len(outline(0))
+        rows = geom._BLOCK_PAIRS // n
+        assert n * n > geom._BLOCK_PAIRS and 87 >= (n - 1) // rows * rows
+        Polygon(outline(0.5))
+        with pytest.raises(ValueError, match="simple"):
+            Polygon(outline(0))
 
     def test_rejects_repeated_vertex(self):
         with pytest.raises(ValueError, match="repeated"):
