@@ -9,26 +9,19 @@ from .geom import (
     Triangle,
     Vec2,
     point_segment_distance,
-    rotate,
     triangle_contains,
 )
 from .unicycle import (
-    ControlInput,
     ControllerParams,
     HeadwayFrame,
     UnicycleState,
-    adaptive_headway_control,
-    fixed_headway_control,
-    headway_distance,
     headway_frame,
     headway_point,
-    unicycle_derivative,
     wrap_angle,
 )
 from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
 from .prediction import (
     Disk,
-    Hull,
     PredictionSet,
     Tri,
     circular_prediction,

@@ -19,13 +19,12 @@ import numpy as np
 from .geom import (
     _NEXT_VERTEX,
     Polygon,
-    Triangle,
     Vec2,
     _point_segment_distance_matrix,
     segments_meet,
     triangle_contains,
 )
-from .prediction import Disk, Hull, PredictionSet, Tri
+from .prediction import PredictionSet
 
 __all__ = [
     "Environment",
@@ -156,33 +155,25 @@ def _segments_to_boundary(env: Environment, pts: np.ndarray, dist: np.ndarray,
     return min(float(dist.min()), float(d_rev.min()))
 
 
-def _triangle_safety(env: Environment, tri: Triangle) -> float:
-    verts = tri.vertex_array()
-    dist = _boundary_distance_matrix(env, verts)
-    vertex_margin = float(_margins_from_matrix(env, verts, dist).min())
-    if vertex_margin <= 0.0:
-        return 0.0
-    # an obstacle swallowed whole by the triangle escapes the edge-distance
-    # test, so probe boundary vertices for containment
-    if bool(triangle_contains(verts, env._edge_a).any()):
-        return 0.0
-    edge_clearance = (_segments_to_boundary(env, verts, dist, slice(None), _NEXT_VERTEX)
-                      - env.robot_radius)
-    return max(0.0, min(vertex_margin, edge_clearance))
-
-
 def safety_distance(env: Environment, pred: PredictionSet) -> float:
     """Minimum clearance of a prediction set; exactly zero when it exits
-    the free space."""
-    if isinstance(pred, Disk):
-        m = free_space_margin(env, pred.center) - pred.radius
-        return max(0.0, m)
-    if isinstance(pred, Tri):
-        return _triangle_safety(env, pred.triangle)
-    if isinstance(pred, Hull):
-        m = float(margin_points(env, pred.points).min()) - pred.padding
-        return max(0.0, m)
-    raise TypeError(f"not a prediction set: {pred!r}")
+    the free space.
+
+    The smallest point margin minus the padding is the clearance of an
+    unfilled set.  A filled set also needs its edges clear, and an obstacle
+    swallowed whole by it escapes the edge-distance test, so boundary
+    vertices are probed for containment.
+    """
+    pts = pred.points
+    dist = _boundary_distance_matrix(env, pts)
+    margin = float(_margins_from_matrix(env, pts, dist).min()) - pred.padding
+    if not pred.filled or margin <= 0.0:
+        return max(0.0, margin)
+    if bool(triangle_contains(pts, env._edge_a).any()):
+        return 0.0
+    edge_clearance = (_segments_to_boundary(env, pts, dist, slice(None), _NEXT_VERTEX)
+                      - env.robot_radius - pred.padding)
+    return max(0.0, min(margin, edge_clearance))
 
 
 class ReferencePath:

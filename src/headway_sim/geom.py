@@ -22,7 +22,6 @@ __all__ = [
     "Segment",
     "Triangle",
     "Polygon",
-    "rotate",
     "point_segment_distance",
     "segments_meet",
     "triangle_contains",
@@ -69,14 +68,6 @@ class Vec2:
     def perp(self) -> "Vec2":
         """Counterclockwise quarter-turn of this vector."""
         return Vec2(-self.y, self.x)
-
-
-def rotate(v: Vec2, angle: float) -> Vec2:
-    """Rotate ``v`` counterclockwise by ``angle`` radians about the origin."""
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
-    c, s = math.cos(angle), math.sin(angle)
-    return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ from .unicycle import ControllerParams, UnicycleState, _adaptive_control
 from .geom import Vec2
 
 __all__ = ["SimConfig", "rollout", "simulate_to_goal", "convergence_budget",
-           "Trajectory"]
+           "require_stable_step", "Trajectory"]
+
+# the end of RK4's stability interval on the negative real axis, rounded down
+_RK4_LIMIT = 2.785
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,23 @@ class SimConfig:
 
     def inner_step(self) -> float:
         return self.step if self.prediction_step is None else self.prediction_step
+
+
+def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
+    """Raise ``ValueError`` when a step leaves RK4's stability interval.
+
+    Linearised, the bearing error decays at ``k (1 - eps) / eps`` near
+    alignment and at ``k (1 + eps) / eps`` at the turning equilibrium, and
+    the path parameter settles on the path end at ``endpoint_gain``.  A
+    step times a decay rate beyond 2.785 makes RK4 diverge instead.
+    """
+    turn = params.ref_gain * (1.0 + params.headway_coeff) / params.headway_coeff
+    for label, h, rate in (("step", config.step, max(turn, config.endpoint_gain)),
+                           ("prediction_step", config.inner_step(), turn)):
+        if h * rate > _RK4_LIMIT:
+            raise ValueError(f"{label} {h:g} s times the fastest closed-loop decay rate "
+                             f"{rate:.4g} 1/s is {h * rate:.4g}, beyond RK4's stability "
+                             f"limit {_RK4_LIMIT}")
 
 
 @dataclass

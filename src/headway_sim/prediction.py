@@ -1,19 +1,21 @@
 """Feedback motion prediction sets for the adaptive headway controller.
 
 Each method returns a region guaranteed to contain the entire future
-closed-loop position trajectory toward a fixed goal:
+closed-loop position trajectory toward a fixed goal, as one type,
+``PredictionSet``: points widened by a padding, or the filled triangle of
+three points.
 
-* ``circular_prediction``: a disk about the goal whose radius is the current
-  goal distance when the robot heading is aligned with the goal (alignment
-  at least the headway coefficient) and the extended-position distance
-  otherwise.
+* ``circular_prediction``: the goal padded by the current goal distance
+  when the robot heading is aligned with the goal (alignment at least the
+  headway coefficient) and by the extended-position distance otherwise.
 * ``triangular_bound``: the tight triangle from the alignment analysis;
   it changes discontinuously for goals almost exactly behind the robot.
-* ``triangular_prediction``: a slightly enlarged triangle whose two branch
-  formulas agree exactly on the alignment boundary, restoring a Lipschitz
-  distance-to-collision measure.
-* ``forward_sim_prediction``: numerically integrated trajectory samples with
-  a half-chord padding; the expensive ground-truth baseline.
+* ``triangular_prediction``: a slightly enlarged filled triangle whose two
+  branch formulas agree exactly on the alignment boundary, restoring a
+  Lipschitz distance-to-collision measure.
+* ``forward_sim_prediction``: numerically integrated trajectory samples
+  padded by half the largest step chord; the expensive ground-truth
+  baseline.
 
 All sets shrink to the goal point as the robot converges, which is what the
 path governor needs to keep making progress.
@@ -22,12 +24,12 @@ path governor needs to keep making progress.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .geom import Triangle, Vec2, min_distance_to_segments, triangle_distance
+from .geom import Triangle, Vec2, triangle_distance
 from .ode import SimConfig, simulate_to_goal
 from .unicycle import (
     ControllerParams,
@@ -38,10 +40,9 @@ from .unicycle import (
 )
 
 __all__ = [
+    "PredictionSet",
     "Disk",
     "Tri",
-    "Hull",
-    "PredictionSet",
     "goal_alignment",
     "circular_prediction",
     "triangular_bound",
@@ -52,36 +53,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk prediction region."""
-
-    center: Vec2
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"disk radius must be >= 0, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class Tri:
-    """Triangular prediction region (possibly degenerate)."""
-
-    triangle: Triangle
-
-
 @dataclass(frozen=True, eq=False)
-class Hull:
-    """Sampled-trajectory prediction region: polyline points plus padding.
+class PredictionSet:
+    """Prediction region: the points (K, 2) widened by ``padding``.
 
-    The governor's clearance (``environment.safety_distance``) reads the set
-    as the sample points widened by ``padding``.  ``prediction_distance``,
-    the SVG and the containment check (acceptance criterion 2) read it as
-    the polyline widened by ``padding``, which contains the first.  On the
-    200 property cases at seed 0 the trajectory leaves the padded sample
-    points by at most 3.5e-7 m, a second-order excursion inside criterion
-    2's 1e-6 m tolerance.
+    An unfilled set is the union of the closed disks of radius ``padding``
+    about its points.  A filled set (class flag ``filled``) is the closed
+    triangle of its three points, widened by ``padding``.  Clearance, set
+    distance, goal radius, the SVG and the containment check (acceptance
+    criterion 2) all read the set this one way.
 
     ``converged`` is False when the underlying forward simulation exhausted
     its budget before reaching the goal ball, which signals an integration
@@ -90,18 +70,51 @@ class Hull:
 
     points: np.ndarray
     padding: float
-    converged: bool = field(default=True)
+    converged: bool = True
+    filled: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if len(pts) < 1:
-            raise ValueError("hull prediction needs at least one point")
+            raise ValueError("prediction set needs at least one point")
         if not (self.padding >= 0.0 and math.isfinite(self.padding)):
-            raise ValueError(f"hull padding must be >= 0, got {self.padding}")
+            raise ValueError(f"prediction set padding must be >= 0, got {self.padding}")
         object.__setattr__(self, "points", pts)
 
 
-PredictionSet = Union[Disk, Tri, Hull]
+class Disk(PredictionSet):
+    """Closed disk prediction region: its center padded by its radius.
+
+    Like ``Tri``, this class only constructs the set; the simulator reads
+    ``points`` and ``padding``, and ``center`` and ``radius`` read them back
+    for callers that dispatch on the construction.
+    """
+
+    def __init__(self, center: Vec2, radius: float):
+        if not (radius >= 0.0 and math.isfinite(radius)):
+            raise ValueError(f"disk radius must be >= 0, got {radius}")
+        super().__init__(np.array([[center.x, center.y]]), radius)
+
+    @property
+    def center(self) -> Vec2:
+        return Vec2(*self.points[0].tolist())
+
+    @property
+    def radius(self) -> float:
+        return self.padding
+
+
+class Tri(PredictionSet):
+    """Filled triangular prediction region (possibly degenerate), unpadded."""
+
+    filled = True
+
+    def __init__(self, triangle: Triangle):
+        super().__init__(triangle.vertex_array(), 0.0)
+
+    @property
+    def triangle(self) -> Triangle:
+        return Triangle(*(Vec2(x, y) for x, y in self.points.tolist()))
 
 
 def goal_alignment(state: UnicycleState, goal: Vec2) -> float:
@@ -190,13 +203,12 @@ def triangular_prediction(state: UnicycleState, goal: Vec2,
 
 
 def forward_sim_prediction(state: UnicycleState, goal: Vec2, params: ControllerParams,
-                           sim: SimConfig) -> Hull:
+                           sim: SimConfig) -> PredictionSet:
     """Sampled closed-loop trajectory toward the fixed goal, with padding.
 
     The padding is half the largest step chord, which covers between-sample
     excursions to first order; the set is a reference baseline rather than a
-    certified bound.  The forward-sim governor measures clearance from the
-    padded sample points, not the padded polyline (see ``Hull``).
+    certified bound.
     """
     traj = simulate_to_goal(state, goal, params, step=sim.inner_step(),
                             goal_tol=sim.goal_tolerance)
@@ -206,24 +218,16 @@ def forward_sim_prediction(state: UnicycleState, goal: Vec2, params: ControllerP
     else:
         chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         padding = 0.5 * float(chords.max())
-    return Hull(pts, padding, converged=traj.converged)
+    return PredictionSet(pts, padding, converged=traj.converged)
 
 
 def prediction_distance(pred: PredictionSet, z: Vec2) -> float:
     """Minimum distance from the prediction set to a point; zero inside."""
-    if isinstance(pred, Disk):
-        return max(0.0, (z - pred.center).norm() - pred.radius)
-    if isinstance(pred, Tri):
-        return float(triangle_distance(pred.triangle.vertex_array(), [[z.x, z.y]])[0])
-    if isinstance(pred, Hull):
-        pts = pred.points
-        zz = np.array([z.x, z.y])
-        if len(pts) == 1:
-            d = float(np.hypot(*(zz - pts[0])))
-        else:
-            d = float(min_distance_to_segments(zz[None, :], pts[:-1], pts[1:])[0])
-        return max(0.0, d - pred.padding)
-    raise TypeError(f"not a prediction set: {pred!r}")
+    if pred.filled:
+        d = float(triangle_distance(pred.points, [[z.x, z.y]])[0])
+    else:
+        d = min(math.hypot(z.x - x, z.y - y) for x, y in pred.points.tolist())
+    return max(0.0, d - pred.padding)
 
 
 def prediction_goal_radius(pred: PredictionSet, goal: Vec2) -> float:
@@ -232,11 +236,5 @@ def prediction_goal_radius(pred: PredictionSet, goal: Vec2) -> float:
     This is the quantity the governor relies on decaying to zero along the
     closed-loop motion.
     """
-    if isinstance(pred, Disk):
-        return (pred.center - goal).norm() + pred.radius
-    if isinstance(pred, Tri):
-        return max((v - goal).norm() for v in pred.triangle.vertices)
-    if isinstance(pred, Hull):
-        d = np.linalg.norm(pred.points - [goal.x, goal.y], axis=1)
-        return float(d.max()) + pred.padding
-    raise TypeError(f"not a prediction set: {pred!r}")
+    gx, gy = goal.x, goal.y
+    return max(math.hypot(x - gx, y - gy) for x, y in pred.points.tolist()) + pred.padding

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .environment import Environment, ReferencePath
 from .geom import (
+    Polygon,
     Segment,
     Triangle,
     Vec2,
@@ -34,16 +36,15 @@ from .prediction import (
     triangular_bound,
     triangular_prediction,
 )
+from .simulation import governor_field
 from .unicycle import (
     ControllerParams,
-    ControlInput,
     UnicycleState,
     _fixed_control,
     headway_frame,
     headway_point,
     heading_vector,
     normal_vector,
-    unicycle_derivative,
     wrap_angle,
 )
 
@@ -374,9 +375,9 @@ def check_trajectory_containment(cases: list[TrajectoryCase],
         goal = case.goal
         disk = circular_prediction(case.state, goal, case.params)
         dists = np.hypot(pts[:, 0] - goal.x, pts[:, 1] - goal.y)
-        worst["circle"] = max(worst["circle"], float(dists.max()) - disk.radius)
+        worst["circle"] = max(worst["circle"], float(dists.max()) - disk.padding)
         bound = triangular_bound(case.state, goal, case.params).vertex_array()
-        tri = triangular_prediction(case.state, goal, case.params).triangle.vertex_array()
+        tri = triangular_prediction(case.state, goal, case.params).points
         worst["triangle-bound"] = max(worst["triangle-bound"],
                                       float(triangle_distance(bound, pts).max()))
         worst["triangle"] = max(worst["triangle"], float(triangle_distance(tri, pts).max()))
@@ -384,10 +385,8 @@ def check_trajectory_containment(cases: list[TrajectoryCase],
             case.state, goal, case.params,
             SimConfig(step=case.step, prediction_step=2.0 * case.step,
                       goal_tolerance=case.params.goal_tolerance, max_time=120.0))
-        if len(hull.points) > 1:
-            d = min_distance_to_segments(pts, hull.points[:-1], hull.points[1:])
-        else:
-            d = np.hypot(pts[:, 0] - hull.points[0, 0], pts[:, 1] - hull.points[0, 1])
+        # zero-length segments: the distance to the nearest sample point
+        d = min_distance_to_segments(pts, hull.points, hull.points)
         worst["forward-sim"] = max(worst["forward-sim"], float(d.max()) - hull.padding)
     bad = {k: v for k, v in worst.items() if v > tol}
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
@@ -525,20 +524,26 @@ def check_rk4_order(ratio_range: tuple[float, float] = (12.0, 20.0)) -> CheckRes
 
 
 def check_nonholonomic_exact(seed: int = 0, n: int = 10_000) -> CheckResult:
-    """No sideways motion: the pose derivative is exactly speed times heading."""
+    """No sideways motion: the pose derivative the governor integrates is
+    exactly speed times heading."""
     rng = np.random.default_rng(seed)
+    square = Polygon([Vec2(-5.0, -5.0), Vec2(5.0, -5.0), Vec2(5.0, 5.0), Vec2(-5.0, 5.0)])
+    env = Environment(square, [], robot_radius=0.1)
+    path = ReferencePath([Vec2(-4.0, 0.0), Vec2(4.0, 0.0)])
+    params = ControllerParams()
+    config = SimConfig()
     for _ in range(n):
+        s = float(rng.uniform(0.0, path.length))
+        x, y = float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))
         th = float(rng.uniform(-math.pi, math.pi))
-        v = float(rng.uniform(-3, 3))
-        w = float(rng.uniform(-3, 3))
-        state = UnicycleState(Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))), th)
-        vel, _ = unicycle_derivative(state, ControlInput(v, w))
-        o = heading_vector(state.orientation)
-        nvec = normal_vector(state.orientation)
+        _, x_rate, y_rate, _, v, *_ = governor_field(env, path, params, "circle", config,
+                                                     s, x, y, th)
+        o = heading_vector(th)
+        nvec = normal_vector(th)
         # the two products of n . o share their factors, so the dot cancels exactly
         if nvec.dot(o) != 0.0:
             return CheckResult("nonholonomic-exact", False, "normal not orthogonal")
-        if vel.x != v * o.x or vel.y != v * o.y:
+        if x_rate != v * o.x or y_rate != v * o.y:
             return CheckResult("nonholonomic-exact", False, "velocity off heading")
     return CheckResult("nonholonomic-exact", True,
                        f"{n} samples, constraint holds exactly")

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .environment import Environment, ReferencePath
-from .prediction import Disk, Hull, PredictionSet, Tri
+from .prediction import PredictionSet
 
 __all__ = ["RenderSpec", "RenderError", "render_svg", "speed_profile_svg"]
 
@@ -133,26 +133,23 @@ def render_svg(env: Environment, path: ReferencePath | None = None,
 
 
 def _prediction_element(pred: PredictionSet, canvas: _Canvas, sw: float) -> str:
-    if isinstance(pred, Disk):
-        cx, cy = canvas.to_px(pred.center.x, pred.center.y)
-        r = max(pred.radius * canvas.scale, 0.5 * sw)
+    """A filled set is a polygon and a single point a circle.  Other sets
+    are drawn as one round-capped band of their padding along the points:
+    consecutive forward-sim samples lie at most two paddings apart, so the
+    band adds only the slivers between overlapping disks."""
+    pts = pred.points
+    if pred.filled:
+        return (f'<polygon class="prediction" stroke-width="{_fmt(0.5 * sw)}" points="'
+                + canvas.polyline_points(pts[:, 0], pts[:, 1]) + '"/>')
+    if len(pts) == 1:
+        cx, cy = canvas.to_px(float(pts[0, 0]), float(pts[0, 1]))
+        r = max(pred.padding * canvas.scale, 0.5 * sw)
         return (f'<circle class="prediction" stroke-width="{_fmt(0.5 * sw)}" '
                 f'cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}"/>')
-    if isinstance(pred, Tri):
-        verts = pred.triangle.vertex_array()
-        return (f'<polygon class="prediction" stroke-width="{_fmt(0.5 * sw)}" points="'
-                + canvas.polyline_points(verts[:, 0], verts[:, 1]) + '"/>')
-    if isinstance(pred, Hull):
-        pts = pred.points
-        width = max(2.0 * pred.padding * canvas.scale, 0.5 * sw)
-        if len(pts) == 1:
-            cx, cy = canvas.to_px(float(pts[0, 0]), float(pts[0, 1]))
-            return (f'<circle class="prediction" stroke-width="{_fmt(0.5 * sw)}" '
-                    f'cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(0.5 * width)}"/>')
-        return (f'<polyline class="prediction" fill="none" stroke-linecap="round" '
-                f'stroke-linejoin="round" stroke-width="{_fmt(width)}" points="'
-                + canvas.polyline_points(pts[:, 0], pts[:, 1]) + '"/>')
-    raise RenderError(f"cannot render prediction set {pred!r}")
+    width = max(2.0 * pred.padding * canvas.scale, 0.5 * sw)
+    return (f'<polyline class="prediction" fill="none" stroke-linecap="round" '
+            f'stroke-linejoin="round" stroke-width="{_fmt(width)}" points="'
+            + canvas.polyline_points(pts[:, 0], pts[:, 1]) + '"/>')
 
 
 def speed_profile_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> str:

@@ -43,7 +43,7 @@ import yaml
 
 from .environment import Environment, ReferencePath, path_clearance, require_path_clearance
 from .geom import Polygon, Vec2
-from .ode import SimConfig
+from .ode import SimConfig, require_stable_step
 from .simulation import METHODS
 from .unicycle import ControllerParams
 
@@ -237,6 +237,12 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
                                 prediction_step=pred_step)
             except ValueError as exc:
                 violations.append(f"integrator/governor: {exc}")
+
+    if controller is not None and sim is not None:
+        try:
+            require_stable_step(controller, sim)
+        except ValueError as exc:
+            violations.append(f"integrator: {exc}")
 
     env = None
     if workspace is not None and radius is not None:

@@ -30,9 +30,8 @@ from .environment import (
     safety_distance,
 )
 from .geom import Vec2
-from .ode import SimConfig
+from .ode import SimConfig, require_stable_step
 from .prediction import (
-    Hull,
     PredictionSet,
     circular_prediction,
     forward_sim_prediction,
@@ -214,11 +213,13 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     The run terminates once the path parameter has essentially reached the
     path end and the robot is inside the endpoint tolerance ball; hitting
     ``config.max_time`` first marks the result as non-converged.  Scenarios
-    whose reference path lacks positive clearance are rejected outright.
+    whose reference path lacks positive clearance, and steps beyond RK4's
+    stability limit (``require_stable_step``), are rejected outright.
     """
     require_path_clearance(path_clearance(env, path), env.robot_radius)
     if method not in METHODS:
         raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
+    require_stable_step(params, config)
 
     theta0 = _default_initial_theta(path) if initial_theta is None else initial_theta
     start = path.point_at(0.0)
@@ -233,8 +234,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         nonlocal eval_time, eval_count
         t0 = time.perf_counter()
         k = governor_field(env, path, params, method, config, s, x, y, th)
-        pred = k[7]
-        if isinstance(pred, Hull) and not pred.converged:
+        if not k[7].converged:
             goal = path.point_at(s)
             raise NonConvergenceError(
                 f"forward simulation from t={t:.3f}s failed to reach the path point "

@@ -5,24 +5,22 @@ control inputs are a linear speed along the heading and an angular rate.
 Goal seeking uses a virtual *headway point* placed ahead of the robot on
 its heading and steered by first-order error feedback toward the goal.
 
-Two controllers are provided:
+Two control laws are provided, each as a scalar kernel ``law(px, py,
+theta, gx, gy, coeffs) -> (v, w)`` with the law's coefficients in one
+tuple, which the integrator hot loops call directly:
 
-* ``adaptive_headway_control`` scales the headway distance with the current
-  goal distance (``d = eps * |goal - position|``).  With ``eps < 1`` the
+* ``_adaptive_control`` scales the headway distance with the current goal
+  distance (``d = eps * |goal - position|``).  With ``eps < 1`` the
   headway point and the robot reach the goal together, and the linear
   velocity denominator ``1 - eps * cos(bearing error)`` stays positive.
-* ``fixed_headway_control`` is the classical fixed-offset variant, which
-  parks the robot one headway distance short of the goal.  It is kept as a
+* ``_fixed_control`` is the classical fixed-offset variant, which parks
+  the robot one headway distance short of the goal.  It is kept as a
   baseline for the steady-state-offset comparison.
 
 The adaptive controller stops (zero input) inside a small goal ball to
 resolve the indeterminacy of the bearing at the goal point itself.  The
 fixed controller has no such ball: its equilibrium lies one headway
 distance from the goal, and at the goal it drives the robot backward.
-
-Each law has a scalar kernel, ``law(px, py, theta, gx, gy, coeffs) ->
-(v, w)`` with the law's coefficients in one tuple, which the integrator
-hot loops call directly.
 """
 
 from __future__ import annotations
@@ -34,18 +32,13 @@ from .geom import Vec2
 
 __all__ = [
     "UnicycleState",
-    "ControlInput",
     "ControllerParams",
     "HeadwayFrame",
     "wrap_angle",
     "heading_vector",
     "normal_vector",
-    "headway_distance",
     "headway_point",
-    "adaptive_headway_control",
-    "fixed_headway_control",
     "headway_frame",
-    "unicycle_derivative",
 ]
 
 _TAU = 2.0 * math.pi
@@ -79,18 +72,6 @@ class UnicycleState:
         if not math.isfinite(self.orientation):
             raise ValueError(f"orientation must be finite, got {self.orientation}")
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Linear (m/s) and angular (rad/s) velocity commands."""
-
-    linear: float
-    angular: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.linear) and math.isfinite(self.angular)):
-            raise ValueError("control inputs must be finite")
 
 
 @dataclass(frozen=True)
@@ -136,14 +117,10 @@ class HeadwayFrame:
     extended: Vec2
 
 
-def headway_distance(state: UnicycleState, goal: Vec2, params: ControllerParams) -> float:
-    """Adaptive headway distance ``eps * |position - goal|``."""
-    return params.headway_coeff * (state.position - goal).norm()
-
-
 def headway_point(state: UnicycleState, goal: Vec2, params: ControllerParams) -> Vec2:
-    """Virtual point one adaptive headway distance ahead of the robot."""
-    d = headway_distance(state, goal, params)
+    """Virtual point one adaptive headway distance, ``eps * |position -
+    goal|``, ahead of the robot."""
+    d = params.headway_coeff * (state.position - goal).norm()
     return state.position + d * heading_vector(state.orientation)
 
 
@@ -182,25 +159,6 @@ def _fixed_control(px: float, py: float, theta: float, gx: float, gy: float,
     return v, w
 
 
-def adaptive_headway_control(state: UnicycleState, goal: Vec2,
-                             params: ControllerParams) -> ControlInput:
-    """Adaptive headway control law; exactly zero inside the goal ball."""
-    v, w = _adaptive_control(state.position.x, state.position.y, state.orientation,
-                             goal.x, goal.y,
-                             (params.headway_coeff, params.ref_gain, params.goal_tolerance))
-    return ControlInput(v, w)
-
-
-def fixed_headway_control(state: UnicycleState, goal: Vec2, gain: float,
-                          fixed_distance: float) -> ControlInput:
-    """Classical fixed-offset headway controller (steady-state offset baseline)."""
-    if not (fixed_distance > 0.0 and math.isfinite(fixed_distance)):
-        raise ValueError(f"fixed_distance must be positive, got {fixed_distance}")
-    v, w = _fixed_control(state.position.x, state.position.y, state.orientation,
-                          goal.x, goal.y, (gain, fixed_distance))
-    return ControlInput(v, w)
-
-
 def headway_frame(state: UnicycleState, goal: Vec2, params: ControllerParams) -> HeadwayFrame:
     """Tangent/normal frame of the headway motion plus the projected and
     extended robot positions that bracket the true position.
@@ -228,13 +186,3 @@ def headway_frame(state: UnicycleState, goal: Vec2, params: ControllerParams) ->
     scale = eps / math.sqrt(1.0 - eps * eps)
     extended = projected + (scale * proj_dist) * normal
     return HeadwayFrame(h, tangent, normal, projected, extended)
-
-
-def unicycle_derivative(state: UnicycleState, control: ControlInput) -> tuple[Vec2, float]:
-    """Time derivative of pose under the unicycle motion equations.
-
-    The velocity is ``linear * heading``, so the no-sideways-motion
-    constraint holds exactly by construction.
-    """
-    velocity = control.linear * heading_vector(state.orientation)
-    return velocity, control.angular

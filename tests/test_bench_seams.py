@@ -14,7 +14,7 @@ import numpy as np
 
 from headway_sim.geom import Vec2
 from headway_sim.ode import SimConfig
-from headway_sim.prediction import Disk, Hull, Tri
+from headway_sim.prediction import Disk, PredictionSet, Tri
 from headway_sim.simulation import prediction_set
 from headway_sim.unicycle import ControllerParams, UnicycleState
 
@@ -69,7 +69,8 @@ def test_prediction_sets_expose_what_the_oracle_reads():
     assert len([(v.x, v.y) for v in tri.triangle.vertices]) == 3
 
     hull = prediction_set("forward-sim", state, goal, params, sim)
-    assert isinstance(hull, Hull)
+    # the oracle reads every set that is neither a Disk nor a Tri as points
+    assert isinstance(hull, PredictionSet) and not isinstance(hull, (Disk, Tri))
     assert hull.points.shape[1] == 2 and hull.padding > 0.0
     assert sim.inner_step() > 0.0 and sim.goal_tolerance > 0.0
     assert np.allclose(hull.points[0], [0.0, 0.0])

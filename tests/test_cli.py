@@ -93,6 +93,15 @@ class TestRun:
         for name in ("trajectory.csv", "summary.yaml", "trajectory.svg"):
             assert (out / "corridor_forward-sim" / name).exists()
 
+    @pytest.mark.parametrize("dt", ["5", "1e300"])
+    def test_oversized_step_refused(self, dt, tmp_path, capsys):
+        # such a step used to diverge and exit 4 with speeds near 1e13 m/s
+        code = main(["run", "--scenario", str(SCENARIO_DIR / "open.yaml"),
+                     "--method", "triangle", "--dt", dt, "--out", str(tmp_path / "o")])
+        assert code == EXIT_SCHEMA
+        assert "RK4's stability limit 2.785" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "open_triangle").exists()
+
     def test_method_override(self, corridor, tmp_path):
         out = tmp_path / "results"
         code = main(["run", "--scenario", str(corridor), "--method", "circle",

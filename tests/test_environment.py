@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headway_sim.environment import (
     Environment,
@@ -10,7 +14,10 @@ from headway_sim.environment import (
     safety_distance,
 )
 from headway_sim.geom import Polygon, Triangle, Vec2
-from headway_sim.prediction import Disk, Hull, Tri
+from headway_sim.ode import SimConfig
+from headway_sim.prediction import Disk, PredictionSet, Tri
+from headway_sim.simulation import METHODS, prediction_set
+from headway_sim.unicycle import ControllerParams, UnicycleState
 
 
 def square(side, x0=0.0, y0=0.0):
@@ -87,8 +94,8 @@ class TestSafetyDistance:
             m = free_space_margin(obstacle_env, p)
             expected = max(m, 0.0)
             assert safety_distance(obstacle_env, Disk(p, 0.0)) == expected
-            assert safety_distance(obstacle_env,
-                                   Hull(np.array([[p.x, p.y]]), 0.0)) == expected
+            point = PredictionSet(np.array([[p.x, p.y]]), 0.0)
+            assert safety_distance(obstacle_env, point) == expected
 
     def test_triangle_clear_of_obstacle(self, obstacle_env):
         tri = Tri(Triangle(Vec2(1, 1), Vec2(2.5, 1), Vec2(1, 2.5)))
@@ -109,8 +116,13 @@ class TestSafetyDistance:
         assert safety_distance(obstacle_env, tri) == pytest.approx(0.5, abs=1e-12)
 
     def test_hull_uses_padding(self, empty_env):
-        hull = Hull(np.array([[5.0, 5.0], [6.0, 5.0]]), 0.25)
+        hull = PredictionSet(np.array([[5.0, 5.0], [6.0, 5.0]]), 0.25)
         assert safety_distance(empty_env, hull) == pytest.approx(3.0 - 0.25, abs=1e-12)
+
+    def test_unfilled_set_is_its_padded_points(self, obstacle_env):
+        # the segment between the points crosses the obstacle; the set does not
+        pair = PredictionSet(np.array([[3.0, 5.0], [7.0, 5.0]]), 0.0)
+        assert safety_distance(obstacle_env, pair) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_under_disk_nesting(self, obstacle_env):
         rng = np.random.default_rng(43)
@@ -122,6 +134,19 @@ class TestSafetyDistance:
                     >= safety_distance(obstacle_env, Disk(c, r_big)))
 
 
+def _lshape(f):
+    """A nonconvex scene scaled by ``f``, and a path through it."""
+    def poly(*xy):
+        return Polygon([Vec2(f * x, f * y) for x, y in xy])
+
+    ws = poly((0, 0), (10, 0), (10, 6), (6, 6), (6, 10), (0, 10))
+    obstacles = [poly((2, 2), (3.5, 2), (3.5, 3.5), (2, 3.5)),
+                 poly((7, 1), (8.5, 1.8), (7.5, 3.2))]
+    env = Environment(ws, obstacles, robot_radius=0.4 * f)
+    path = ReferencePath([Vec2(f * x, f * y) for x, y in ((1, 1), (1, 8), (5, 4.6), (9, 4.5))])
+    return env, path
+
+
 class TestClearanceNeverOverReported:
     """The governor trusts these clearances; an over-report would let the
     path parameter advance while the predicted motion can reach an obstacle,
@@ -129,13 +154,7 @@ class TestClearanceNeverOverReported:
 
     @pytest.fixture
     def lshape_env(self):
-        ws = Polygon([Vec2(0, 0), Vec2(10, 0), Vec2(10, 6), Vec2(6, 6),
-                      Vec2(6, 10), Vec2(0, 10)])
-        obstacles = [
-            Polygon([Vec2(2, 2), Vec2(3.5, 2), Vec2(3.5, 3.5), Vec2(2, 3.5)]),
-            Polygon([Vec2(7, 1), Vec2(8.5, 1.8), Vec2(7.5, 3.2)]),
-        ]
-        return Environment(ws, obstacles, robot_radius=0.4)
+        return _lshape(1.0)[0]
 
     @staticmethod
     def _triangle_samples(rng, tri):
@@ -202,6 +221,29 @@ class TestClearanceNeverOverReported:
             samples = np.vstack([pts, ring, [[c.x, c.y]]])
             sampled = max(0.0, float(margin_points(lshape_env, samples).min()))
             assert fast <= sampled + 1e-12
+
+
+class TestScaleEquivariance:
+    """Scaling a scene by a power of two is exact in floating point, so
+    every clearance must scale exactly with it."""
+
+    @given(k=st.integers(-10, 10), method=st.sampled_from(METHODS),
+           dx=st.floats(-1.5, 1.5), dy=st.floats(-1.5, 1.5), th=st.floats(-3.2, 3.2),
+           s=st.floats(0.0, 1.0), eps=st.floats(0.3, 0.8))
+    @settings(max_examples=150, deadline=None)
+    def test_safety_distance_and_path_clearance(self, k, method, dx, dy, th, s, eps):
+        def clearances(f):
+            env, path = _lshape(f)
+            goal = path.point_at(s * path.length)
+            params = ControllerParams(headway_coeff=eps, goal_tolerance=1e-4 * f)
+            config = SimConfig(step=0.02, goal_tolerance=2e-4 * f)
+            state = UnicycleState(goal + Vec2(f * dx, f * dy), th)
+            pred = prediction_set(method, state, goal, params, config)
+            return safety_distance(env, pred), path_clearance(env, path)
+
+        f = math.ldexp(1.0, k)
+        base = clearances(1.0)
+        assert clearances(f) == (f * base[0], f * base[1])
 
 
 class TestReferencePath:

@@ -14,7 +14,6 @@ from headway_sim.geom import (
     Vec2,
     min_distance_to_segments,
     point_segment_distance,
-    rotate,
     segments_meet,
     triangle_contains,
 )
@@ -53,33 +52,6 @@ class TestVec2:
             b = Vec2(*rng.uniform(-5, 5, 2))
             c = Vec2(*rng.uniform(-5, 5, 2))
             assert (a - c).norm() <= (a - b).norm() + (b - c).norm() + 1e-9
-
-
-class TestRotate:
-    def test_basis_vector(self):
-        r = rotate(Vec2(1, 0), math.pi / 2)
-        assert abs(r.x) < 1e-12 and abs(r.y - 1) < 1e-12
-
-    def test_zero_vector_fixed(self):
-        assert rotate(Vec2(0, 0), 1.3) == Vec2(0, 0)
-
-    def test_point_reflection(self):
-        r = rotate(Vec2(1, 1), math.pi)
-        assert abs(r.x + 1) < 1e-12 and abs(r.y + 1) < 1e-12
-
-    def test_roundtrip_preserves_vector(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            v = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            a = rng.uniform(-10, 10)
-            back = rotate(rotate(v, a), -a)
-            assert abs(back.x - v.x) <= 1e-12 * max(1, abs(v.x))
-            assert abs(back.y - v.y) <= 1e-12 * max(1, abs(v.y))
-            assert abs(rotate(v, a).norm() - v.norm()) <= 1e-12 * max(1.0, v.norm())
-
-    def test_rejects_non_finite_angle(self):
-        with pytest.raises(ValueError):
-            rotate(Vec2(1, 0), math.nan)
 
 
 class TestPointSegmentDistance:

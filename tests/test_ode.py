@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from headway_sim.geom import Vec2
-from headway_sim.ode import SimConfig, rollout, simulate_to_goal
+from headway_sim.ode import SimConfig, require_stable_step, rollout, simulate_to_goal
 from headway_sim.properties import check_rk4_order
 from headway_sim.unicycle import ControllerParams, UnicycleState, wrap_angle
 
@@ -21,6 +21,36 @@ class TestSimConfig:
     def test_inner_step_defaults_to_step(self):
         assert SimConfig(step=0.01).inner_step() == 0.01
         assert SimConfig(step=0.01, prediction_step=0.05).inner_step() == 0.05
+
+
+class TestStableStep:
+    """Steps are refused once step x decay rate exceeds 2.785; at k = 1 and
+    eps = 0.5 the turning rate is 3 /s and the endpoint gain 4 /s."""
+
+    PARAMS = ControllerParams(headway_coeff=0.5, ref_gain=1.0)
+
+    def test_shipped_settings_pass(self):
+        require_stable_step(self.PARAMS, SimConfig(step=0.01, prediction_step=0.02))
+
+    def test_endpoint_gain_bounds_the_outer_step(self):
+        require_stable_step(self.PARAMS, SimConfig(step=0.69, prediction_step=0.9))
+        with pytest.raises(ValueError, match=r"^step 0.7 s .* 4 1/s .* limit 2.785"):
+            require_stable_step(self.PARAMS, SimConfig(step=0.7, prediction_step=0.9))
+
+    def test_turning_rate_bounds_the_outer_step(self):
+        config = SimConfig(step=0.6, endpoint_gain=1.0, prediction_step=0.5)
+        require_stable_step(self.PARAMS, config)
+        with pytest.raises(ValueError, match=r"^step 0.6 s .* 5 1/s is 3,"):
+            require_stable_step(ControllerParams(headway_coeff=0.25), config)
+
+    def test_prediction_step(self):
+        with pytest.raises(ValueError, match=r"^prediction_step 0.95 s .* 3 1/s"):
+            require_stable_step(self.PARAMS, SimConfig(step=0.01, prediction_step=0.95))
+
+    def test_default_prediction_step_follows_step(self):
+        config = SimConfig(step=0.95, endpoint_gain=1.0)
+        with pytest.raises(ValueError, match=r"^step 0.95 s"):
+            require_stable_step(self.PARAMS, config)
 
 
 def constant_law(v, w):

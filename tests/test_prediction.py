@@ -7,7 +7,7 @@ from headway_sim.geom import Triangle, Vec2
 from headway_sim.ode import SimConfig, simulate_to_goal
 from headway_sim.prediction import (
     Disk,
-    Hull,
+    PredictionSet,
     Tri,
     circular_prediction,
     forward_sim_prediction,
@@ -42,9 +42,9 @@ class TestPredictionTypes:
 
     def test_hull_needs_points_and_padding(self):
         with pytest.raises(ValueError, match="point"):
-            Hull(np.zeros((0, 2)), 0.0)
+            PredictionSet(np.zeros((0, 2)), 0.0)
         with pytest.raises(ValueError, match="padding"):
-            Hull(np.zeros((1, 2)), -1.0)
+            PredictionSet(np.zeros((1, 2)), -1.0)
 
 
 class TestCircularPrediction:
@@ -164,8 +164,12 @@ class TestPredictionDistance:
         assert prediction_distance(tri, Vec2(0.2, 0.2)) == 0
 
     def test_hull_with_padding(self):
-        hull = Hull(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.1)
+        hull = PredictionSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.1)
         assert prediction_distance(hull, Vec2(1, 1)) == pytest.approx(0.9, abs=1e-12)
+
+    def test_unfilled_set_is_its_padded_points(self):
+        pair = PredictionSet(np.array([[0.0, 0.0], [2.0, 0.0]]), 0.5)
+        assert prediction_distance(pair, Vec2(1, 0)) == 0.5
 
     def test_degenerate_triangle_uses_segment_distance(self):
         tri = Tri(Triangle(ORIGIN, Vec2(2, 0), Vec2(1, 0)))
@@ -182,11 +186,11 @@ class TestPredictionGoalRadius:
         assert prediction_goal_radius(tri, ORIGIN) == 2
 
     def test_point_set(self):
-        assert prediction_goal_radius(Hull(np.array([[1.0, 1.0]]), 0.0),
+        assert prediction_goal_radius(PredictionSet(np.array([[1.0, 1.0]]), 0.0),
                                       Vec2(1, 1)) == 0
 
     def test_hull_adds_padding(self):
-        hull = Hull(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.25)
+        hull = PredictionSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.25)
         assert prediction_goal_radius(hull, ORIGIN) == pytest.approx(1.25, abs=1e-12)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from headway_sim.environment import Environment, ReferencePath
 from headway_sim.geom import Polygon, Triangle, Vec2
-from headway_sim.prediction import Disk, Hull, Tri
+from headway_sim.prediction import Disk, PredictionSet, Tri
 from headway_sim.render import RenderError, RenderSpec, render_svg
 
 
@@ -45,7 +45,7 @@ class TestRenderSvg:
         assert '<circle class="prediction"' in svg
 
     def test_hull_snapshot_renders_polyline(self, env, path):
-        hull = Hull(np.array([[1.0, 1.0], [2.0, 1.5], [3.0, 1.7]]), 0.05)
+        hull = PredictionSet(np.array([[1.0, 1.0], [2.0, 1.5], [3.0, 1.7]]), 0.05)
         svg = render_svg(env, path, [traj()], [hull])
         assert '<polyline class="prediction"' in svg
 

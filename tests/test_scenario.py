@@ -59,6 +59,13 @@ class TestValidation:
             scenario_from_dict(data)
         assert any("robot_radius" in v for v in err.value.violations)
 
+    def test_oversized_step_reported(self):
+        data = office_data()
+        data["integrator"]["step"] = 5.0
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert any("stability limit 2.785" in v for v in err.value.violations)
+
     def test_multiple_violations_collected(self):
         data = office_data()
         data["controller"]["headway_coeff"] = 2.0

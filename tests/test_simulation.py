@@ -111,14 +111,14 @@ class TestRunEpisode:
         # an unconverged inner simulation means the hull may miss part of
         # the future motion; the governor must refuse to trust it
         import headway_sim.simulation as sim_mod
-        from headway_sim.prediction import Hull
+        from headway_sim.prediction import PredictionSet
         from headway_sim.simulation import NonConvergenceError
 
         real = sim_mod.forward_sim_prediction
 
         def truncated(state, goal, params, sim):
             hull = real(state, goal, params, sim)
-            return Hull(hull.points, hull.padding, converged=False)
+            return PredictionSet(hull.points, hull.padding, converged=False)
 
         monkeypatch.setattr(sim_mod, "forward_sim_prediction", truncated)
         env, path, params, config = simple_setup

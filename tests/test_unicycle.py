@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 
 from headway_sim.geom import Segment, Vec2, point_segment_distance
-from headway_sim.ode import simulate_to_goal
+from headway_sim.ode import rollout, simulate_to_goal
 from headway_sim.properties import (
     check_fixed_headway_offset,
     check_global_convergence,
     check_headway_reference_consistency,
 )
 from headway_sim.unicycle import (
-    ControlInput,
     ControllerParams,
     UnicycleState,
-    adaptive_headway_control,
-    fixed_headway_control,
-    headway_distance,
+    _adaptive_control,
+    _fixed_control,
     headway_frame,
     headway_point,
-    unicycle_derivative,
     wrap_angle,
 )
 
@@ -28,6 +25,16 @@ PARAMS = ControllerParams(headway_coeff=0.5, ref_gain=1.0, goal_tolerance=1e-4)
 
 def state(x, y, th):
     return UnicycleState(Vec2(x, y), th)
+
+
+def adaptive(st, goal, params):
+    return _adaptive_control(st.position.x, st.position.y, st.orientation, goal.x, goal.y,
+                             (params.headway_coeff, params.ref_gain, params.goal_tolerance))
+
+
+def fixed(st, goal, gain, distance):
+    return _fixed_control(st.position.x, st.position.y, st.orientation, goal.x, goal.y,
+                          (gain, distance))
 
 
 class TestWrapAngle:
@@ -45,7 +52,7 @@ class TestWrapAngle:
         with pytest.raises(ValueError):
             state(0, 0, math.inf)
         with pytest.raises(ValueError):
-            ControlInput(math.nan, 0.0)
+            state(0, 0, math.nan)
 
 
 class TestControllerParams:
@@ -60,14 +67,20 @@ class TestControllerParams:
 
 
 class TestHeadwayDistance:
+    """The headway point sits ``eps * |position - goal|`` ahead of the robot."""
+
+    @staticmethod
+    def distance(st, goal):
+        return (headway_point(st, goal, PARAMS) - st.position).norm()
+
     def test_direct_evaluation(self):
-        assert headway_distance(state(0, 0, 0), Vec2(2, 0), PARAMS) == 1
+        assert self.distance(state(0, 0, 0), Vec2(2, 0)) == 1
 
     def test_zero_at_goal(self):
-        assert headway_distance(state(1, 1, 0.3), Vec2(1, 1), PARAMS) == 0
+        assert self.distance(state(1, 1, 0.3), Vec2(1, 1)) == 0
 
     def test_three_four_five(self):
-        assert headway_distance(state(3, 4, 0), Vec2(0, 0), PARAMS) == 2.5
+        assert self.distance(state(3, 4, 0), Vec2(0, 0)) == 2.5
 
 
 class TestHeadwayPoint:
@@ -84,23 +97,21 @@ class TestHeadwayPoint:
 
 class TestAdaptiveHeadwayControl:
     def test_facing_goal(self):
-        u = adaptive_headway_control(state(0, 0, 0), Vec2(1, 0), PARAMS)
-        assert u.linear == pytest.approx(1.0, abs=1e-12)
-        assert u.angular == pytest.approx(0.0, abs=1e-12)
+        v, w = adaptive(state(0, 0, 0), Vec2(1, 0), PARAMS)
+        assert v == pytest.approx(1.0, abs=1e-12)
+        assert w == pytest.approx(0.0, abs=1e-12)
 
     def test_stops_at_goal(self):
-        u = adaptive_headway_control(state(1, 0, 0.4), Vec2(1, 0), PARAMS)
-        assert u == ControlInput(0.0, 0.0)
+        assert adaptive(state(1, 0, 0.4), Vec2(1, 0), PARAMS) == (0.0, 0.0)
 
     def test_stops_inside_tolerance_ball(self):
         params = ControllerParams(goal_tolerance=1e-3)
-        u = adaptive_headway_control(state(0, 0, 0.4), Vec2(5e-4, 0), params)
-        assert u == ControlInput(0.0, 0.0)
+        assert adaptive(state(0, 0, 0.4), Vec2(5e-4, 0), params) == (0.0, 0.0)
 
     def test_perpendicular_heading(self):
-        u = adaptive_headway_control(state(0, 0, math.pi / 2), Vec2(1, 0), PARAMS)
-        assert u.linear == pytest.approx(-0.5, abs=1e-12)
-        assert u.angular == pytest.approx(-2.0, abs=1e-12)
+        v, w = adaptive(state(0, 0, math.pi / 2), Vec2(1, 0), PARAMS)
+        assert v == pytest.approx(-0.5, abs=1e-12)
+        assert w == pytest.approx(-2.0, abs=1e-12)
 
     def test_denominator_never_singular(self):
         # 1 - eps * alignment >= 1 - eps > 0 for any heading
@@ -111,29 +122,25 @@ class TestAdaptiveHeadwayControl:
             st = state(rng.uniform(-4, 4), rng.uniform(-4, 4),
                        rng.uniform(-math.pi, math.pi))
             goal = Vec2(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            u = adaptive_headway_control(st, goal, params)
-            assert math.isfinite(u.linear) and math.isfinite(u.angular)
+            v, w = adaptive(st, goal, params)
+            assert math.isfinite(v) and math.isfinite(w)
 
 
 class TestFixedHeadwayControl:
     def test_hand_evaluation(self):
-        u = fixed_headway_control(state(0, 0, 0), Vec2(1, 0), 1.0, 0.5)
-        assert u.linear == pytest.approx(0.5, abs=1e-12)
-        assert u.angular == pytest.approx(0.0, abs=1e-12)
+        v, w = fixed(state(0, 0, 0), Vec2(1, 0), 1.0, 0.5)
+        assert v == pytest.approx(0.5, abs=1e-12)
+        assert w == pytest.approx(0.0, abs=1e-12)
 
     def test_equilibrium_offset(self):
         # one headway distance behind the goal, facing it: zero speed
-        u = fixed_headway_control(state(0.5, 0, 0), Vec2(1, 0), 1.0, 0.5)
-        assert u.linear == pytest.approx(0.0, abs=1e-12)
+        v, _ = fixed(state(0.5, 0, 0), Vec2(1, 0), 1.0, 0.5)
+        assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_pushed_backward_off_goal(self):
-        u = fixed_headway_control(state(1, 0, 0), Vec2(1, 0), 1.0, 0.5)
-        assert u.linear == pytest.approx(-0.5, abs=1e-12)
-        assert u.angular == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError, match="fixed_distance"):
-            fixed_headway_control(state(0, 0, 0), Vec2(1, 0), 1.0, 0.0)
+        v, w = fixed(state(1, 0, 0), Vec2(1, 0), 1.0, 0.5)
+        assert v == pytest.approx(-0.5, abs=1e-12)
+        assert w == pytest.approx(0.0, abs=1e-12)
 
 
 class TestHeadwayFrame:
@@ -191,20 +198,31 @@ class TestHeadwayFrame:
 
 
 class TestUnicycleDerivative:
+    """The rollout integrates x' = v cos(theta), y' = v sin(theta),
+    theta' = w; constant inputs have closed-form solutions."""
+
+    @staticmethod
+    def final(st, v, w, horizon=1.0):
+        traj = rollout(lambda *_: (v, w), (), st, Vec2(100.0, 100.0), step=0.01,
+                       max_time=horizon, tol=0.0)
+        return traj.states[-1]
+
     def test_forward_motion(self):
-        vel, w = unicycle_derivative(state(0, 0, 0), ControlInput(1, 0))
-        assert vel == Vec2(1, 0)
-        assert w == 0
+        x, y, th = self.final(state(0, 0, 0), 1.0, 0.0)
+        assert x == pytest.approx(1.0, abs=1e-12)
+        assert y == 0 and th == 0
 
     def test_pure_rotation(self):
-        vel, w = unicycle_derivative(state(1, 1, 0.3), ControlInput(0, 2))
-        assert vel == Vec2(0, 0)
-        assert w == 2
+        x, y, th = self.final(state(1, 1, 0.3), 0.0, 2.0)
+        assert (x, y) == (1, 1)
+        assert th == pytest.approx(2.3, abs=1e-12)
 
     def test_forward_along_y(self):
-        vel, w = unicycle_derivative(state(0, 0, math.pi / 2), ControlInput(2, -1))
-        assert abs(vel.x) < 1e-15 and vel.y == pytest.approx(2.0, abs=1e-12)
-        assert w == -1
+        # a clockwise circle of radius 2: x = 2 (1 - cos t), y = 2 sin t
+        x, y, th = self.final(state(0, 0, math.pi / 2), 2.0, -1.0)
+        assert x == pytest.approx(2.0 * (1.0 - math.cos(1.0)), abs=1e-9)
+        assert y == pytest.approx(2.0 * math.sin(1.0), abs=1e-9)
+        assert th == pytest.approx(math.pi / 2 - 1.0, abs=1e-12)
 
 
 class TestClosedLoopProperties:
