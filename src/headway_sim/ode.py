@@ -83,8 +83,10 @@ def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
     Linearised, the bearing error decays at ``k (1 - eps) / eps`` near
     alignment and at ``k (1 + eps) / eps`` at the turning equilibrium, and
     the path parameter settles on the path end at ``endpoint_gain``.  A
-    step times a decay rate beyond 2.785 makes RK4 diverge instead.
+    step times a decay rate beyond 2.785 makes RK4 diverge instead.  A step
+    too small to advance the clock at ``max_time`` would never reach it.
     """
+    _require_clock_step(config.step, config.max_time)
     turn = params.ref_gain * (1.0 + params.headway_coeff) / params.headway_coeff
     for label, h, rate in (("step", config.step, max(turn, config.endpoint_gain)),
                            ("prediction_step", config.inner_step(), turn)):
@@ -92,6 +94,14 @@ def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
             raise ValueError(f"{label} {h:g} s times the fastest closed-loop decay rate "
                              f"{rate:.4g} 1/s is {h * rate:.4g}, beyond RK4's stability "
                              f"limit {_RK4_LIMIT}")
+
+
+def _require_clock_step(step: float, horizon: float) -> None:
+    """Raise ``ValueError`` when ``horizon + step`` rounds back to ``horizon``:
+    a loop stepping the clock toward the horizon would then never end."""
+    if horizon + step == horizon:
+        raise ValueError(f"step {step:g} s cannot advance the clock at the "
+                         f"{horizon:g} s horizon")
 
 
 @dataclass
@@ -133,7 +143,9 @@ def rollout(law: Callable[..., tuple[float, float]], coeffs: tuple, state: Unicy
 
     Stops once the goal distance is at most ``tol`` (flagged as converged)
     or at ``max_time``, which the last, shortened step lands on exactly.
+    Refuses a step too small to advance the clock at ``max_time``.
     """
+    _require_clock_step(step, max_time)
     px, py, th = state.position.x, state.position.y, state.orientation
     gx, gy = goal.x, goal.y
     times = [0.0]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -136,6 +137,36 @@ def _get_number(section: dict, key: str, label: str, violations: list[str],
     return float(value)
 
 
+# the shortest and longest lengths whose squares are non-zero and finite
+# (about 2.2e-162 and 1.3e154 m); distance, area and orientation arithmetic
+# squares lengths and multiplies coordinates
+_LENGTH_RANGE = (math.sqrt(math.ulp(0.0)), math.sqrt(sys.float_info.max))
+
+
+def _scale_violation(polygons: list[list[Vec2]], path: list[Vec2] | None) -> str | None:
+    """Why the scene's lengths are out of range, or None.
+
+    Out of range means the diagonal of the bounding box of every scene
+    point and the origin squares to infinity, or the shortest non-zero
+    polygon edge or waypoint gap squares to zero.
+    """
+    chains = [pts + pts[:1] for pts in polygons] + ([path] if path is not None else [])
+    xs = [p.x for pts in chains for p in pts] + [0.0]
+    ys = [p.y for pts in chains for p in pts] + [0.0]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    gaps = [math.hypot(b.x - a.x, b.y - a.y) for pts in chains for a, b in zip(pts, pts[1:])]
+    shortest = min((g for g in gaps if g > 0.0), default=1.0)
+    if diag * diag == math.inf:
+        what = f"bounding-box diagonal (origin included) {diag:.3g} m overflows"
+    elif shortest * shortest == 0.0:
+        what = f"shortest edge or waypoint gap {shortest:.3g} m underflows to 0"
+    else:
+        return None
+    lo, hi = _LENGTH_RANGE
+    return (f"scene: the {what} when squared; lengths must lie between about "
+            f"{lo:.2g} and {hi:.2g} m")
+
+
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     """Build and validate a Scenario from parsed YAML data."""
     if not isinstance(data, dict):
@@ -147,42 +178,52 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         violations.append(f"name: expected a string, got {name!r}")
         name = "scenario"
 
-    workspace = None
     ws_pts = _coerce_points(data.get("workspace"), "workspace", violations)
-    if ws_pts is not None:
-        try:
-            workspace = Polygon(ws_pts)
-        except ValueError as exc:
-            violations.append(f"workspace: {exc}")
 
-    obstacles: list[Polygon] = []
     raw_obstacles = data.get("obstacles", [])
     if raw_obstacles is None:
         raw_obstacles = []
     if not isinstance(raw_obstacles, (list, tuple)):
         violations.append("obstacles: expected a list of polygons")
         raw_obstacles = []
+    obstacle_pts = {}
     for i, raw in enumerate(raw_obstacles):
         pts = _coerce_points(raw, f"obstacles[{i}]", violations)
-        if pts is None:
-            continue
-        try:
-            obstacles.append(Polygon(pts))
-        except ValueError as exc:
-            violations.append(f"obstacles[{i}]: {exc}")
+        if pts is not None:
+            obstacle_pts[i] = pts
 
     radius = _get_number(data, "robot_radius", "scenario", violations)
     if radius is not None and radius <= 0.0:
         violations.append(f"robot_radius: must be positive, got {radius}")
         radius = None
 
-    path = None
     path_pts = _coerce_points(data.get("path"), "path", violations)
-    if path_pts is not None:
-        try:
-            path = ReferencePath(path_pts)
-        except ValueError as exc:
-            violations.append(f"path: {exc}")
+
+    workspace = None
+    obstacles: list[Polygon] = []
+    path = None
+    polygon_pts = ([ws_pts] if ws_pts is not None else []) + list(obstacle_pts.values())
+    out_of_range = _scale_violation(polygon_pts, path_pts)
+    if out_of_range is not None:
+        # squared lengths that overflow or underflow would be misread as
+        # crossings, repeated vertices or a NaN clearance below
+        violations.append(out_of_range)
+    else:
+        if ws_pts is not None:
+            try:
+                workspace = Polygon(ws_pts)
+            except ValueError as exc:
+                violations.append(f"workspace: {exc}")
+        for i, pts in obstacle_pts.items():
+            try:
+                obstacles.append(Polygon(pts))
+            except ValueError as exc:
+                violations.append(f"obstacles[{i}]: {exc}")
+        if path_pts is not None:
+            try:
+                path = ReferencePath(path_pts)
+            except ValueError as exc:
+                violations.append(f"path: {exc}")
 
     method = data.get("method", "triangle")
     if method not in METHODS:

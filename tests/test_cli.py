@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,16 @@ from headway_sim.cli import (
 from headway_sim.simulation import EpisodeResult
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_subprocess(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, so a run that never ends fails the
+    test at the timeout instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "headway_sim.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture
@@ -101,6 +114,44 @@ class TestRun:
         assert code == EXIT_SCHEMA
         assert "RK4's stability limit 2.785" in capsys.readouterr().err
         assert not (tmp_path / "o" / "open_triangle").exists()
+
+    def test_step_too_small_for_the_clock_refused(self, tmp_path):
+        # at 1e-300 s, t += dt stops advancing t, so the run never reached max_time
+        done = _cli_subprocess("run", "--scenario", str(SCENARIO_DIR / "open.yaml"),
+                               "--method", "circle", "--dt", "1e-300",
+                               "--out", str(tmp_path / "o"))
+        assert done.returncode == EXIT_SCHEMA
+        assert "step 1e-300 s cannot advance the clock at the 60 s horizon" in done.stderr
+
+    def test_prediction_step_too_small_for_the_clock_refused(self, tmp_path):
+        scenario = tmp_path / "open.yaml"
+        shutil.copy(SCENARIO_DIR / "open.yaml", scenario)
+        _edit_scenario(scenario, lambda d: d["integrator"].update(prediction_step=1e-300))
+        done = _cli_subprocess("run", "--scenario", str(scenario), "--method", "forward-sim",
+                               "--out", str(tmp_path / "o"))
+        assert done.returncode == EXIT_SCHEMA
+        assert "step 1e-300 s cannot advance the clock" in done.stderr
+
+    @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
+    def test_out_of_range_scale_refused(self, scale, word, tmp_path, capsys):
+        # exited 2 with a NaN clearance at 1e160 and 1 with "repeated
+        # consecutive waypoints" at 1e-200
+        scenario = tmp_path / "open.yaml"
+        shutil.copy(SCENARIO_DIR / "open.yaml", scenario)
+
+        def scale_scene(d):
+            for key in ("workspace", "path"):
+                d[key] = [[c * scale for c in p] for p in d[key]]
+            d["robot_radius"] *= scale
+
+        _edit_scenario(scenario, scale_scene)
+        code = main(["run", "--scenario", str(scenario), "--method", "triangle",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_SCHEMA
+        violations = capsys.readouterr().err.splitlines()[1:]
+        assert len(violations) == 1
+        assert word in violations[0]
+        assert "lengths must lie between about 2.2e-162 and 1.3e+154 m" in violations[0]
 
     def test_method_override(self, corridor, tmp_path):
         out = tmp_path / "results"

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headway_sim.geom import Triangle, Vec2
+from headway_sim import properties
+from headway_sim.geom import (
+    Triangle,
+    Vec2,
+    _point_segment_distance_matrix,
+    min_distance_to_segments,
+    triangle_distance,
+)
 from headway_sim.ode import SimConfig, simulate_to_goal
 from headway_sim.prediction import (
     Disk,
@@ -18,6 +27,9 @@ from headway_sim.prediction import (
     triangular_prediction,
 )
 from headway_sim.properties import (
+    _BAND_CHUNK,
+    _banded_distances,
+    _containment_violations,
     check_branch_continuity,
     check_distance_lipschitz,
     check_positive_inclusion,
@@ -228,6 +240,87 @@ class TestTrajectoryLevelProperties:
     def test_distance_lipschitz(self):
         result = check_distance_lipschitz(seed=35, n=800)
         assert result.passed, result.detail
+
+
+def _hull(case):
+    # the forward-sim set criterion 2 measures: the same loop at twice the step
+    return forward_sim_prediction(
+        case.state, case.goal, case.params,
+        SimConfig(step=case.step, prediction_step=2.0 * case.step,
+                  goal_tolerance=case.params.goal_tolerance, max_time=120.0))
+
+
+def _brute_force_violations(cases):
+    """Criterion 2's four worst values, every point against every sample."""
+    worst = dict.fromkeys(("circle", "triangle-bound", "triangle", "forward-sim"), 0.0)
+    for case in cases:
+        pts = case.traj.positions
+        goal = case.goal
+        disk = circular_prediction(case.state, goal, case.params)
+        worst["circle"] = max(worst["circle"], float(np.hypot(
+            pts[:, 0] - goal.x, pts[:, 1] - goal.y).max()) - disk.padding)
+        bound = triangular_bound(case.state, goal, case.params).vertex_array()
+        tri = triangular_prediction(case.state, goal, case.params).points
+        worst["triangle-bound"] = max(worst["triangle-bound"],
+                                      float(triangle_distance(bound, pts).max()))
+        worst["triangle"] = max(worst["triangle"], float(triangle_distance(tri, pts).max()))
+        hull = _hull(case)
+        d = min_distance_to_segments(pts, hull.points, hull.points)
+        worst["forward-sim"] = max(worst["forward-sim"], float(d.max()) - hull.padding)
+    return worst
+
+
+def _band(i, m):
+    lo = min(max(0, i // 2 - 2), m - 1)
+    return slice(lo, max(lo + 1, min(m, (i + _BAND_CHUNK - 1) // 2 + 3)))
+
+
+class TestBandedContainmentSearch:
+    def test_band_distances_are_full_matrix_columns(self, cases):
+        # exactness rests on the kernel being elementwise: a pair's distance
+        # is the same in a chunk's matrix as in the full one
+        for case in cases:
+            pts, q = case.traj.positions, _hull(case).points
+            full = _point_segment_distance_matrix(pts, q, q)
+            banded = _banded_distances(pts, q)
+            for i in range(0, len(pts), _BAND_CHUNK):
+                rows, band = slice(i, i + _BAND_CHUNK), _band(i, len(q))
+                chunk = _point_segment_distance_matrix(pts[rows], q[band], q[band])
+                assert np.array_equal(chunk, full[rows, band])
+                assert np.array_equal(banded[rows], full[rows, band].min(axis=1))
+
+    def test_band_leaves_only_points_outside_the_padding(self, cases):
+        # the band is wide enough that the full-row fallback runs only for
+        # points whose nearest sample really is beyond the padding
+        for case in cases:
+            hull = _hull(case)
+            pts, q = case.traj.positions, hull.points
+            banded = _banded_distances(pts, q)
+            full = min_distance_to_segments(pts, q, q)
+            assert np.count_nonzero(banded > hull.padding) == \
+                np.count_nonzero(full > hull.padding)
+
+    def test_matches_brute_force(self, cases):
+        assert _containment_violations(cases) == _brute_force_violations(cases)
+
+    def test_reversed_samples_take_the_fallback(self, cases, monkeypatch):
+        def reversed_hull(*args):
+            hull = forward_sim_prediction(*args)
+            return PredictionSet(hull.points[::-1].copy(), hull.padding, hull.converged)
+
+        some = cases[:5]
+        # reversed, the band holds samples far from its points
+        hull = _hull(some[0])
+        banded = _banded_distances(some[0].traj.positions, hull.points[::-1])
+        assert (banded > hull.padding).any()
+        monkeypatch.setattr(properties, "forward_sim_prediction", reversed_hull)
+        assert _containment_violations(some) == _brute_force_violations(some)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_held_out_seeds_match_brute_force(self, seed):
+        cases = sample_trajectory_cases(seed, 5)
+        assert _containment_violations(cases) == _brute_force_violations(cases)
 
 
 class TestDecayAlongTrajectory:
