@@ -6,6 +6,13 @@ any obstacle.  Clearance queries are realized by inflating obstacles and
 deflating the workspace by the radius, which reduces every set-vs-set
 distance to point/segment-vs-polygon distances: exact for disk robots and
 no Minkowski-sum polygons ever need to be built.
+
+Each query builds one displacement grid between its points and the
+boundary vertices (``_grid``) and reads everything from it: the
+point/edge distances, the crossing parity behind each margin's sign, the
+orientations of the points against the edges and of the boundary vertices
+against the set's edges, the swallowed-obstacle probe and the reverse
+edge-to-set-edge distances.  The edge arrays are built once per scene.
 """
 
 from __future__ import annotations
@@ -16,13 +23,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# _point_segment_distance_matrix is not called here; the benchmark's tracer
+# (bench/spans.py) patches it in this namespace
 from .geom import (
+    _BLOCK_PAIRS,
     _NEXT_VERTEX,
     Polygon,
     Vec2,
+    _grid_distance,
+    _meet,
+    _orientations,
     _point_segment_distance_matrix,
-    segments_meet,
-    triangle_contains,
+    _safe_len2,
 )
 from .prediction import PredictionSet
 
@@ -46,14 +58,15 @@ class Environment:
     """Immutable scene description: workspace polygon, obstacles, robot radius.
 
     All boundary edges are kept stacked (workspace first, then each obstacle)
-    so distance and containment queries run as single array operations with
-    per-polygon ``reduceat`` reductions; the governor evaluates clearances
-    four times per integration step, so this is the hot path.
+    as split x/y arrays of their starts and directions, built once here, so
+    every clearance query runs on one displacement grid with per-polygon
+    ``reduceat`` reductions; the governor evaluates clearances four times
+    per integration step, so this is the hot path.
     """
 
     __slots__ = ("workspace", "obstacles", "robot_radius",
-                 "_edge_a", "_edge_b", "_group_starts",
-                 "_next_edge", "_ex0", "_ey0", "_ex1", "_ey1", "_dy_safe")
+                 "_edge_a", "_group_starts", "_next_edge", "_workspace_col",
+                 "_a", "_d", "_safe", "_by", "_dy_safe")
 
     def __init__(self, workspace: Polygon, obstacles: Iterable[Polygon],
                  robot_radius: float):
@@ -76,19 +89,21 @@ class Environment:
         self._edge_a = np.vstack([p.xy for p in polys])
         counts = [len(p.vertices) for p in polys]
         self._group_starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
+        self._workspace_col = np.arange(len(polys)) == 0
         nxt = []
         offset = 0
         for c in counts:
             nxt.extend([offset + (k + 1) % c for k in range(c)])
             offset += c
         self._next_edge = np.array(nxt, dtype=np.intp)
-        self._edge_b = self._edge_a[self._next_edge]
-        self._ex0 = self._edge_a[:, 0][None, :]
-        self._ey0 = self._edge_a[:, 1][None, :]
-        self._ex1 = self._edge_b[:, 0][None, :]
-        self._ey1 = self._edge_b[:, 1][None, :]
-        dy = self._ey1 - self._ey0
-        self._dy_safe = np.where(dy == 0.0, 1.0, dy)
+        # edge starts and directions, x and y split along the first axis
+        # (2, 1, M), so they broadcast against a grid of points
+        edge_b = self._edge_a[self._next_edge]
+        self._a = np.ascontiguousarray(self._edge_a.T[:, None, :])
+        self._d = edge_b.T[:, None, :] - self._a
+        self._safe = _safe_len2(self._d)
+        self._by = edge_b[:, 1]
+        self._dy_safe = np.where(self._d[1] == 0.0, 1.0, self._d[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Environment):
@@ -102,27 +117,29 @@ class Environment:
                 f"obstacles={len(self.obstacles)}, robot_radius={self.robot_radius})")
 
 
-def _boundary_distance_matrix(env: Environment, pts: np.ndarray) -> np.ndarray:
-    """Distances from N points to every boundary edge, shape (N, M)."""
-    return _point_segment_distance_matrix(pts, env._edge_a, env._edge_b)
+def _grid(env: Environment, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The displacement grid ``w`` (2, N, M) from every boundary vertex to
+    every point, and the point/edge distances (N, M) computed from it."""
+    p = pts.T[:, :, None]
+    w = p - env._a
+    return w, _grid_distance(w, p, env._a, env._d, env._safe)
 
 
-def _margins_from_matrix(env: Environment, pts: np.ndarray,
-                         dist: np.ndarray) -> np.ndarray:
-    """Signed clearances given the precomputed point/edge distance matrix."""
+def _signed_distances(env: Environment, pts: np.ndarray, w: np.ndarray,
+                      dist: np.ndarray) -> np.ndarray:
+    """Signed distance from each point to each polygon, shape (N, P):
+    positive on the free side (inside the workspace, outside an obstacle)."""
     starts = env._group_starts
     dmin = np.minimum.reduceat(dist, starts, axis=1)
-    # crossing counts per polygon decide inside/outside for the sign
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    x0, y0, x1, y1 = env._ex0, env._ey0, env._ex1, env._ey1
-    straddle = (y0 <= y) != (y1 <= y)
-    xint = x0 + (y - y0) * (x1 - x0) / env._dy_safe
-    crossings = np.add.reduceat(straddle & (x < xint), starts, axis=1)
-    inside = (crossings % 2) == 1
-    signed = np.where(inside, -dmin, dmin)
-    signed[:, 0] = -signed[:, 0]  # the workspace counts inward, obstacles outward
-    return signed.min(axis=1) - env.robot_radius
+    # crossing parity per polygon decides inside/outside for the sign
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    straddle = (env._a[1] <= py) != (env._by <= py)
+    xint = w[1] * env._d[0]
+    xint /= env._dy_safe
+    xint += env._a[0]
+    inside = np.logical_xor.reduceat(straddle & (px < xint), starts, axis=1)
+    # the workspace counts inward, obstacles outward
+    return np.negative(dmin, out=dmin, where=inside != env._workspace_col)
 
 
 def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
@@ -130,9 +147,17 @@ def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
 
     Positive values mean the robot disk centered there fits strictly inside
     the workspace and clear of all obstacles, with that much room to spare.
+    Points are taken in row blocks of ``_BLOCK_PAIRS`` point-edge pairs, so
+    a whole episode's nodes never build one large grid.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    return _margins_from_matrix(env, pts, _boundary_distance_matrix(env, pts))
+    rows = max(1, _BLOCK_PAIRS // len(env._edge_a))
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), rows):
+        block = pts[i:i + rows]
+        out[i:i + rows] = _signed_distances(env, block, *_grid(env, block)).min(axis=1)
+    out -= env.robot_radius
+    return out
 
 
 def free_space_margin(env: Environment, p: Vec2) -> float:
@@ -140,18 +165,32 @@ def free_space_margin(env: Environment, p: Vec2) -> float:
     return float(margin_points(env, np.array([[p.x, p.y]]))[0])
 
 
-def _segments_to_boundary(env: Environment, pts: np.ndarray, dist: np.ndarray,
-                          start: slice | np.ndarray, end: slice | np.ndarray) -> float:
+def _segments_to_boundary(env: Environment, pts: np.ndarray, w: np.ndarray, dist: np.ndarray,
+                          start: slice | np.ndarray, end: slice | np.ndarray,
+                          area2: float = 0.0) -> float:
     """Smallest distance from the segments ``pts[start] -> pts[end]`` to the
-    boundary edges; zero when a segment touches or crosses an edge.
+    boundary edges; zero when a segment touches or crosses an edge, or when
+    the closed triangle of signed doubled area ``area2`` (nonzero) holds a
+    boundary vertex, which catches an obstacle swallowed whole.
 
-    ``dist`` holds the point/edge distances of ``pts``, which already cover
-    the segment-end-to-edge direction; the reverse direction completes the
-    edge-edge minimum for segments that miss the boundary.
+    ``w, dist`` is ``_grid(env, pts)``.  Its point/edge distances already
+    cover the segment-end-to-edge direction; the reverse direction, edge
+    vertex to segment, completes the edge-edge minimum for segments that
+    miss the boundary.  The orientations and the reverse distances come
+    from the same grid with the roles swapped, which negates it exactly.
     """
-    if bool(segments_meet(pts, start, end, env._edge_a, env._next_edge).any()):
+    seg = pts[end] - pts[start]
+    o_pts, o_edge = _orientations(w, env._d, seg, start)
+    hit = _meet(pts, start, end, env._edge_a, env._next_edge, o_pts, o_edge)
+    if area2 != 0.0:
+        # o_edge is the sign that puts a boundary vertex inside the triangle
+        inner = o_edge >= 0.0 if area2 > 0.0 else o_edge <= 0.0
+        hit = hit | inner.all(axis=0)
+    if bool(hit.any()):
         return 0.0
-    d_rev = _point_segment_distance_matrix(env._edge_a, pts[start], pts[end])
+    p, d = pts[start].T[:, :, None], seg.T[:, :, None]
+    # the reverse grid is -w; dividing by -safe instead negates t exactly
+    d_rev = _grid_distance(w[:, start], env._a, p, d, -_safe_len2(d))
     return min(float(dist.min()), float(d_rev.min()))
 
 
@@ -162,16 +201,18 @@ def safety_distance(env: Environment, pred: PredictionSet) -> float:
     The smallest point margin minus the padding is the clearance of an
     unfilled set.  A filled set also needs its edges clear, and an obstacle
     swallowed whole by it escapes the edge-distance test, so boundary
-    vertices are probed for containment.
+    vertices are probed for containment.  A collinear triangle holds a
+    boundary vertex only where one of its edges meets that vertex's edge,
+    which the intersection test already finds.
     """
     pts = pred.points
-    dist = _boundary_distance_matrix(env, pts)
-    margin = float(_margins_from_matrix(env, pts, dist).min()) - pred.padding
+    w, dist = _grid(env, pts)
+    margin = float(_signed_distances(env, pts, w, dist).min()) - env.robot_radius - pred.padding
     if not pred.filled or margin <= 0.0:
         return max(0.0, margin)
-    if bool(triangle_contains(pts, env._edge_a).any()):
-        return 0.0
-    edge_clearance = (_segments_to_boundary(env, pts, dist, slice(None), _NEXT_VERTEX)
+    (x0, y0), (x1, y1), (x2, y2) = pts.tolist()
+    area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    edge_clearance = (_segments_to_boundary(env, pts, w, dist, slice(None), _NEXT_VERTEX, area2)
                       - env.robot_radius - pred.padding)
     return max(0.0, min(margin, edge_clearance))
 
@@ -236,9 +277,9 @@ def path_clearance(env: Environment, path: ReferencePath) -> float:
     clearance.
     """
     pts = path._xy
-    dist = _boundary_distance_matrix(env, pts)
-    vertex_margin = float(_margins_from_matrix(env, pts, dist).min())
-    edge_distance = _segments_to_boundary(env, pts, dist, slice(None, -1), slice(1, None))
+    w, dist = _grid(env, pts)
+    vertex_margin = float(_signed_distances(env, pts, w, dist).min()) - env.robot_radius
+    edge_distance = _segments_to_boundary(env, pts, w, dist, slice(None, -1), slice(1, None))
     return min(vertex_margin, edge_distance - env.robot_radius)
 
 

@@ -7,6 +7,13 @@ against boundary vertices, where per-call Python overhead would dominate.
 Each concept has one: ``min_distance_to_segments`` (point-segment distance),
 ``segments_meet`` (closed segment intersection, which also validates
 polygons), ``triangle_contains`` and ``triangle_distance``.
+
+Both the distance and the intersection test start from one displacement
+grid ``w = p - a`` (2, N, M), every point minus every segment start with x
+and y split along the first axis.  ``_grid_distance`` and
+``_orientations`` take the grid from their caller, so the clearance
+queries in ``environment`` build it once per query and derive everything
+from it; where roles swap, the grid is negated, which is exact.
 """
 
 from __future__ import annotations
@@ -180,23 +187,63 @@ class Polygon:
 
 def _point_segment_distance_matrix(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from N points to M segments, shape (N, M)."""
-    d = b - a
-    len2 = np.einsum("ij,ij->i", d, d)
-    safe = np.where(len2 > 0.0, len2, 1.0)
-    diff = pts[:, None, :] - a[None, :, :]
-    t = np.einsum("nmj,mj->nm", diff, d) / safe[None, :]
-    np.clip(t, 0.0, 1.0, out=t)
-    t[:, len2 == 0.0] = 0.0
-    closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    delta = pts[:, None, :] - closest
-    return np.sqrt(np.einsum("nmj,nmj->nm", delta, delta))
+    p, a = pts.T[:, :, None], a.T[:, None, :]
+    d = b.T[:, None, :] - a
+    return _grid_distance(p - a, p, a, d, _safe_len2(d))
 
 
-# point-segment pairs per block of ``min_distance_to_segments``.  Its
-# largest temporaries take 16 bytes a pair, so a block's stay at 64 KiB,
-# under the C allocator's default 128 KiB mmap and trim thresholds: blocks
-# reuse heap memory instead of faulting in fresh pages (the 200-case
-# containment check made 1.86M minor faults at 262144 pairs, under 1000 here)
+def _safe_len2(d: np.ndarray) -> np.ndarray:
+    """Squared lengths of the directions ``d`` (2, ...), infinite where
+    zero: a zero-length segment then projects every point onto its start."""
+    sq = d * d
+    len2 = sq[0] + sq[1]
+    return np.where(len2 > 0.0, len2, np.inf)
+
+
+def _grid_distance(w: np.ndarray, p: np.ndarray, a: np.ndarray, d: np.ndarray,
+                   safe: np.ndarray) -> np.ndarray:
+    """The one point-segment distance formula, on a displacement grid.
+
+    Coordinates are split along the first axis: ``w = p - a`` (2, N, M)
+    holds every point minus every segment start, and the points ``p``,
+    segment starts ``a`` and directions ``d`` broadcast against it, as does
+    ``safe`` from ``_safe_len2`` against one coordinate.  A caller that
+    already holds the grid (the clearance queries in ``environment``) pays
+    for no second copy.  Per element, in order: ``t = (wx dx + wy dy) /
+    safe`` clipped to [0, 1], ``e = p - (a + t d)``, ``sqrt(ex ex + ey ey)``.
+    """
+    x = w * d
+    t = x[0] + x[1]
+    t /= safe
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    e = np.multiply(t, d, out=x)
+    e += a
+    np.subtract(p, e, out=e)
+    e *= e
+    return np.sqrt(np.add(e[0], e[1], out=t), out=t)
+
+
+def _orientations(w: np.ndarray, d: np.ndarray, seg: np.ndarray,
+                  start: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation grids from the displacement grid ``w`` (2, P, M) of P
+    points against M edges with directions ``d`` (2, 1, M): every point
+    against every edge, ``dx wy - dy wx`` (P, M), and every edge start
+    against every segment ``seg`` (S, 2) starting at ``start``,
+    ``sy wx - sx wy`` (S, M), which is the usual orientation with the
+    differences negated, exactly."""
+    o = w * d[::-1]
+    r = w[:, start] * seg.T[::-1, :, None]
+    return o[1] - o[0], r[0] - r[1]
+
+
+# point-segment pairs per block of ``min_distance_to_segments`` and
+# ``environment.margin_points``.  The grid and the kernel's x/y temporary
+# take 16 bytes a pair and its one-coordinate temporary 8, so a block's
+# arrays stay at 64 KiB or less, under the C allocator's default 128 KiB
+# mmap and trim thresholds: blocks reuse heap memory instead of faulting in
+# fresh pages (the 200-case containment check made 1.86M minor faults at
+# 262144 pairs, under 1000 here)
 _BLOCK_PAIRS = 4096
 
 
@@ -219,30 +266,40 @@ def segments_meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.nd
     the edges ``edge_a -> edge_a[next_edge]``, shape (S, M).
 
     True where the two share a point, touching and collinear overlap
-    included.  The orientations are the only arithmetic: the two cross where
-    each one's endpoints lie on opposite sides of the other's line, and a
-    point whose orientation against the other segment is exactly zero meets
-    it when it lies in that segment's bounding box.  Each point's
-    orientations are computed once, so segments that share endpoints (a
-    polyline, a closed ring) share them, and so do edges that share
-    vertices.
+    included.  The orientations are the only arithmetic, all taken from the
+    one grid of point-minus-edge-start differences (``_orientations``):
+    every point against every edge, and every edge start against every
+    segment, whose rows and columns give all four.  So segments that share
+    endpoints (a polyline, a closed ring) share them, and so do edges that
+    share vertices.
     """
-    ex0, ey0 = edge_a[:, 0], edge_a[:, 1]
-    edge_b = edge_a[next_edge]
-    ex1, ey1 = edge_b[:, 0], edge_b[:, 1]
-    px, py = pts[:, 0, None], pts[:, 1, None]
-    # orientation of every point against every edge, and of every edge
-    # start against every segment; rows and columns give all four
-    o_pts = (ex1 - ex0) * (py - ey0) - (ey1 - ey0) * (px - ex0)
-    a, b = pts[start], pts[end]
-    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
-    o_edge = (bx - ax) * (ey0 - ay) - (by - ay) * (ex0 - ax)
+    a = edge_a.T[:, None, :]
+    d = edge_a[next_edge].T[:, None, :] - a
+    o_pts, o_edge = _orientations(pts.T[:, :, None] - a, d, pts[end] - pts[start], start)
+    return _meet(pts, start, end, edge_a, next_edge, o_pts, o_edge)
+
+
+def _meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.ndarray,
+          edge_a: np.ndarray, next_edge: np.ndarray, o_pts: np.ndarray,
+          o_edge: np.ndarray) -> np.ndarray:
+    """``segments_meet`` from its orientation grids: ``o_pts`` (P, M) of the
+    points against the edges, ``o_edge`` (S, M) of the edge starts against
+    the segments.  The two cross where each one's endpoints lie on opposite
+    sides of the other's line, and a point whose orientation against the
+    other segment is exactly zero meets it when it lies in that segment's
+    bounding box."""
     pos_pts, pos_edge = o_pts > 0, o_edge > 0
     meet = (pos_pts[start] != pos_pts[end]) & (pos_edge != pos_edge[:, next_edge])
     if o_pts.all() and o_edge.all():
         return meet
     # zeros count as negative above, which in exact arithmetic only adds
     # crossings at the zero point itself; the box tests find every touch
+    ex0, ey0 = edge_a[:, 0], edge_a[:, 1]
+    edge_b = edge_a[next_edge]
+    ex1, ey1 = edge_b[:, 0], edge_b[:, 1]
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    a, b = pts[start], pts[end]
+    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
     on_edge = ((o_pts == 0) & (np.minimum(ex0, ex1) <= px) & (px <= np.maximum(ex0, ex1))
                & (np.minimum(ey0, ey1) <= py) & (py <= np.maximum(ey0, ey1)))
     on_seg = ((o_edge == 0) & (np.minimum(ax, bx) <= ex0) & (ex0 <= np.maximum(ax, bx))

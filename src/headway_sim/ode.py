@@ -84,9 +84,12 @@ def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
     alignment and at ``k (1 + eps) / eps`` at the turning equilibrium, and
     the path parameter settles on the path end at ``endpoint_gain``.  A
     step times a decay rate beyond 2.785 makes RK4 diverge instead.  A step
-    too small to advance the clock at ``max_time`` would never reach it.
+    too small to advance the clock at its horizon would never reach it:
+    ``max_time`` for the episode step, and 1 s, the shortest horizon
+    ``convergence_budget`` gives, for the prediction step.
     """
     _require_clock_step(config.step, config.max_time)
+    _require_clock_step(config.inner_step(), 1.0, "prediction_step")
     turn = params.ref_gain * (1.0 + params.headway_coeff) / params.headway_coeff
     for label, h, rate in (("step", config.step, max(turn, config.endpoint_gain)),
                            ("prediction_step", config.inner_step(), turn)):
@@ -96,11 +99,11 @@ def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
                              f"limit {_RK4_LIMIT}")
 
 
-def _require_clock_step(step: float, horizon: float) -> None:
+def _require_clock_step(step: float, horizon: float, label: str = "step") -> None:
     """Raise ``ValueError`` when ``horizon + step`` rounds back to ``horizon``:
     a loop stepping the clock toward the horizon would then never end."""
     if horizon + step == horizon:
-        raise ValueError(f"step {step:g} s cannot advance the clock at the "
+        raise ValueError(f"{label} {step:g} s cannot advance the clock at the "
                          f"{horizon:g} s horizon")
 
 

@@ -105,7 +105,15 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
 
 @dataclass
 class EpisodeResult:
-    """Dense episode record plus the summary quantities of interest."""
+    """Dense episode record plus the summary quantities of interest.
+
+    The pause signals are read from the logged nodes after the run:
+    ``paused_fraction`` is the share of node intervals (steps) whose
+    first-stage path rate is exactly zero, and ``pause_intervals`` the
+    number of separate runs of such consecutive intervals.  ``summary``
+    adds ``min_delta_f``, the least logged clearance, and ``min_delta_f_t``,
+    the time of the first node that reaches it.
+    """
 
     method: str
     epsilon: float
@@ -128,6 +136,8 @@ class EpisodeResult:
     final_goal_distance: float
     governor_eval_seconds: float
     n_governor_evals: int
+    paused_fraction: float = 0.0
+    pause_intervals: int = 0
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return (self.t, self.s, self.x, self.y, self.theta, self.v, self.omega,
@@ -143,6 +153,7 @@ class EpisodeResult:
                 writer.writerow([repr(float(col[i])) for col in cols])
 
     def summary(self) -> dict:
+        i = int(np.argmin(self.delta_f))  # the first node of least clearance
         return {
             "method": self.method,
             "epsilon": self.epsilon,
@@ -156,6 +167,10 @@ class EpisodeResult:
             "governor_eval_seconds": float(self.governor_eval_seconds),
             "n_governor_evals": int(self.n_governor_evals),
             "steps": int(len(self.t) - 1),
+            "paused_fraction": float(self.paused_fraction),
+            "pause_intervals": int(self.pause_intervals),
+            "min_delta_f": float(self.delta_f[i]),
+            "min_delta_f_t": float(self.t[i]),
         }
 
     def write_summary(self, path: Path | str) -> None:
@@ -285,17 +300,23 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     margins = margin_points(env, positions)
     v_arr = np.array(vs[:n])
     w_arr = np.array(ws[:n])
+    delta_f = np.array(dfs[:n])
+    s_arr = np.array(ss)
+    # each node interval's first-stage path rate, as governor_field forms it
+    rate = np.minimum(config.clearance_gain * delta_f[:-1],
+                      config.endpoint_gain * (length - s_arr[:-1]))
+    paused = rate == 0.0
     result = EpisodeResult(
         method=method,
         epsilon=params.headway_coeff,
         t=np.array(ts),
-        s=np.array(ss),
+        s=s_arr,
         x=np.array(xs),
         y=np.array(ys),
         theta=np.array(ths),
         v=v_arr,
         omega=w_arr,
-        delta_f=np.array(dfs[:n]),
+        delta_f=delta_f,
         pred_radius=np.array(radii[:n]),
         margin=margins,
         converged=converged,
@@ -307,6 +328,8 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         final_goal_distance=float(math.hypot(goal_end.x - xs[-1], goal_end.y - ys[-1])),
         governor_eval_seconds=eval_time / max(1, eval_count),
         n_governor_evals=eval_count,
+        paused_fraction=float(paused.mean()) if len(paused) else 0.0,
+        pause_intervals=int(np.count_nonzero(paused[1:] & ~paused[:-1]) + paused[:1].sum()),
     )
     return result
 

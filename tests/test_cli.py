@@ -132,6 +132,16 @@ class TestRun:
         assert done.returncode == EXIT_SCHEMA
         assert "step 1e-300 s cannot advance the clock" in done.stderr
 
+    def test_prediction_step_too_small_for_the_clock_fails_validation(self, tmp_path, capsys):
+        # every forward-sim horizon is at least 1 s, so the step is refused
+        # at load instead of only by a forward-sim run
+        scenario = tmp_path / "open.yaml"
+        shutil.copy(SCENARIO_DIR / "open.yaml", scenario)
+        _edit_scenario(scenario, lambda d: d["integrator"].update(prediction_step=1e-300))
+        assert main(["validate", "--scenario", str(scenario)]) == EXIT_SCHEMA
+        assert ("prediction_step 1e-300 s cannot advance the clock at the 1 s horizon"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
     def test_out_of_range_scale_refused(self, scale, word, tmp_path, capsys):
         # exited 2 with a NaN clearance at 1e160 and 1 with "repeated

@@ -18,6 +18,7 @@ from headway_sim.ode import SimConfig
 from headway_sim.prediction import Disk, PredictionSet, Tri
 from headway_sim.simulation import METHODS, prediction_set
 from headway_sim.unicycle import ControllerParams, UnicycleState
+from test_geom import _einsum_distance_matrix
 
 
 def square(side, x0=0.0, y0=0.0):
@@ -108,7 +109,11 @@ class TestSafetyDistance:
         assert safety_distance(obstacle_env, tri) == 0.0
 
     def test_triangle_swallowing_obstacle_is_zero(self, obstacle_env):
-        tri = Tri(Triangle(Vec2(2, 2), Vec2(9, 3), Vec2(5, 9.5)))
+        # every vertex has positive margin and every edge passes the obstacle
+        # more than the robot radius away, so only the containment probe can
+        # return zero
+        tri = Tri(Triangle(Vec2(1.3, 2.85), Vec2(8.7, 2.85), Vec2(5, 9.3)))
+        assert min(free_space_margin(obstacle_env, v) for v in tri.triangle.vertices) > 0.0
         assert safety_distance(obstacle_env, tri) == 0.0
 
     def test_degenerate_triangle(self, obstacle_env):
@@ -244,6 +249,208 @@ class TestScaleEquivariance:
         f = math.ldexp(1.0, k)
         base = clearances(1.0)
         assert clearances(f) == (f * base[0], f * base[1])
+
+
+def _reference_meet(pts, start, end, edge_a, next_edge):
+    """The closed segment-intersection grid as composed before the shared
+    displacement grid: orientations from coordinate differences."""
+    ex0, ey0 = edge_a[:, 0], edge_a[:, 1]
+    edge_b = edge_a[next_edge]
+    ex1, ey1 = edge_b[:, 0], edge_b[:, 1]
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    o_pts = (ex1 - ex0) * (py - ey0) - (ey1 - ey0) * (px - ex0)
+    a, b = pts[start], pts[end]
+    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
+    o_edge = (bx - ax) * (ey0 - ay) - (by - ay) * (ex0 - ax)
+    pos_pts, pos_edge = o_pts > 0, o_edge > 0
+    meet = (pos_pts[start] != pos_pts[end]) & (pos_edge != pos_edge[:, next_edge])
+    on_edge = ((o_pts == 0) & (np.minimum(ex0, ex1) <= px) & (px <= np.maximum(ex0, ex1))
+               & (np.minimum(ey0, ey1) <= py) & (py <= np.maximum(ey0, ey1)))
+    on_seg = ((o_edge == 0) & (np.minimum(ax, bx) <= ex0) & (ex0 <= np.maximum(ax, bx))
+              & (np.minimum(ay, by) <= ey0) & (ey0 <= np.maximum(ay, by)))
+    return meet | on_edge[start] | on_edge[end] | on_seg | on_seg[:, next_edge]
+
+
+class _Reference:
+    """Clearances as composed before the shared displacement grid: one
+    distance matrix per direction, a separate triangle-containment probe
+    and a separate intersection test, each from its own differences."""
+
+    NEXT = np.array([1, 2, 0])
+
+    def __init__(self, env):
+        polys = (env.workspace,) + env.obstacles
+        counts = [len(p.xy) for p in polys]
+        self.env = env
+        self.edge_a = np.vstack([p.xy for p in polys])
+        self.starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
+        self.next = np.concatenate([o + (np.arange(c) + 1) % c
+                                    for o, c in zip(self.starts, counts)])
+        self.edge_b = self.edge_a[self.next]
+
+    def margins(self, pts, dist):
+        dmin = np.minimum.reduceat(dist, self.starts, axis=1)
+        x, y = pts[:, 0][:, None], pts[:, 1][:, None]
+        x0, y0 = self.edge_a[:, 0][None, :], self.edge_a[:, 1][None, :]
+        x1, y1 = self.edge_b[:, 0][None, :], self.edge_b[:, 1][None, :]
+        straddle = (y0 <= y) != (y1 <= y)
+        xint = x0 + (y - y0) * (x1 - x0) / np.where(y1 - y0 == 0.0, 1.0, y1 - y0)
+        crossings = np.add.reduceat(straddle & (x < xint), self.starts, axis=1)
+        signed = np.where((crossings % 2) == 1, -dmin, dmin)
+        signed[:, 0] = -signed[:, 0]
+        return signed.min(axis=1) - self.env.robot_radius
+
+    def segments_to_boundary(self, pts, dist, start, end):
+        if _reference_meet(pts, start, end, self.edge_a, self.next).any():
+            return 0.0
+        d_rev = _einsum_distance_matrix(self.edge_a, pts[start], pts[end])
+        return min(float(dist.min()), float(d_rev.min()))
+
+    def triangle_contains(self, verts):
+        (x0, y0), (x1, y1), (x2, y2) = verts.tolist()
+        area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        pts = self.edge_a
+        if area2 == 0.0:
+            return _reference_meet(pts, slice(None), slice(None), verts, self.NEXT).any()
+        edge = verts[self.NEXT] - verts
+        cross = (edge[:, 0, None] * (pts[None, :, 1] - verts[:, 1, None])
+                 - edge[:, 1, None] * (pts[None, :, 0] - verts[:, 0, None]))
+        if area2 < 0.0:
+            cross = -cross
+        return (cross >= 0.0).all(axis=0).any()
+
+    def safety_distance(self, pred):
+        pts = pred.points
+        dist = _einsum_distance_matrix(pts, self.edge_a, self.edge_b)
+        margin = float(self.margins(pts, dist).min()) - pred.padding
+        if not pred.filled or margin <= 0.0:
+            return max(0.0, margin)
+        if self.triangle_contains(pts):
+            return 0.0
+        edge_clearance = (self.segments_to_boundary(pts, dist, slice(None), self.NEXT)
+                          - self.env.robot_radius - pred.padding)
+        return max(0.0, min(margin, edge_clearance))
+
+    def path_clearance(self, path):
+        pts = path._xy
+        dist = _einsum_distance_matrix(pts, self.edge_a, self.edge_b)
+        vertex_margin = float(self.margins(pts, dist).min())
+        edge_distance = self.segments_to_boundary(pts, dist, slice(None, -1), slice(1, None))
+        return min(vertex_margin, edge_distance - self.env.robot_radius)
+
+
+def _tri(*xy):
+    return Tri(Triangle(*(Vec2(float(x), float(y)) for x, y in xy)))
+
+
+# half-metre lattice points, so orientations against the axis-aligned walls
+# and the lattice-aligned obstacle edges are often exactly zero
+_lattice = st.tuples(st.integers(-2, 22), st.integers(-2, 22)).map(
+    lambda p: (p[0] / 2.0, p[1] / 2.0))
+
+
+class TestClearancesMatchReference:
+    """The grid clearances equal the separate-pass composition exactly."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        envs = (_lshape(1.0)[0], Environment(square(10), [square(2, 4, 4)], robot_radius=0.5))
+        return [(env, _Reference(env)) for env in envs]
+
+    def test_random_and_collinear_triangles(self, scenes):
+        rng = np.random.default_rng(90)
+        for env, ref in scenes:
+            for i in range(600):
+                v = rng.uniform(-1, 11, 2) + rng.uniform(-3, 3, (3, 2))
+                if i % 3 == 0:
+                    v[2] = v[0] + rng.random() * (v[1] - v[0])  # collinear
+                pred = _tri(*v)
+                assert safety_distance(env, pred) == ref.safety_distance(pred)
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=st.lists(_lattice, min_size=3, max_size=3))
+    def test_lattice_triangles(self, scenes, v):
+        # vertices on wall lines and boundary vertices on triangle edges take
+        # the zero-orientation branch; repeated lattice points give collinear
+        # and point triangles
+        for env, ref in scenes:
+            pred = _tri(*v)
+            assert safety_distance(env, pred) == ref.safety_distance(pred)
+
+    def test_branches_taken(self, scenes):
+        env, ref = scenes[1]
+        cases = {
+            # clear, one vertex on the line of the obstacle's bottom face
+            "zero orientation": _tri((1, 4), (2, 1.5), (2.5, 2.5)),
+            # an edge touching the obstacle only at its corner (4, 4)
+            "vertex on edge": _tri((6, 2), (2, 6), (1.5, 1.5)),
+            "collinear along a face line": _tri((1, 4), (2, 4), (3, 4)),
+            "swallowed obstacle": _tri((1.3, 2.85), (8.7, 2.85), (5, 9.3)),
+            "margin <= 0": _tri((0.2, 5), (2, 5), (2, 6)),
+        }
+        got = {name: safety_distance(env, pred) for name, pred in cases.items()}
+        assert got == {name: ref.safety_distance(pred) for name, pred in cases.items()}
+        assert got["zero orientation"] > 0.0 and got["collinear along a face line"] > 0.0
+        assert got["vertex on edge"] == got["swallowed obstacle"] == got["margin <= 0"] == 0.0
+
+    def test_swallowing_triangles(self, scenes):
+        # near-equilateral triangles about the square obstacle, wide enough
+        # to hold it whole, with every vertex in free space
+        env, ref = scenes[1]
+        rng = np.random.default_rng(93)
+        for _ in range(200):
+            angles = rng.uniform(0, 2 * np.pi) + 2 * np.pi / 3 * np.arange(3)
+            angles += rng.uniform(-0.1, 0.1, 3)
+            radius = rng.uniform(2.9, 4.3)
+            pred = _tri(*(5 + radius * np.column_stack([np.cos(angles), np.sin(angles)])))
+            assert safety_distance(env, pred) == ref.safety_distance(pred) == 0.0
+
+    def test_point_sets(self, scenes):
+        rng = np.random.default_rng(91)
+        params = ControllerParams(headway_coeff=0.5)
+        config = SimConfig(step=0.02)
+        for env, ref in scenes:
+            for _ in range(40):
+                goal = Vec2(*rng.uniform(1, 9, 2))
+                state = UnicycleState(goal + Vec2(*rng.uniform(-2, 2, 2)), rng.uniform(-3, 3))
+                for method in METHODS:
+                    pred = prediction_set(method, state, goal, params, config)
+                    assert safety_distance(env, pred) == ref.safety_distance(pred)
+
+    def test_path_clearance(self, scenes):
+        rng = np.random.default_rng(92)
+        for env, ref in scenes:
+            for i in range(300):
+                if i % 2:
+                    pts = [Vec2(*p) for p in rng.integers(0, 21, (int(rng.integers(2, 6)), 2)) / 2]
+                else:
+                    pts = [Vec2(*p) for p in rng.uniform(-1, 11, (int(rng.integers(2, 6)), 2))]
+                try:
+                    path = ReferencePath(pts)
+                except ValueError:
+                    continue  # repeated waypoints
+                assert path_clearance(env, path) == ref.path_clearance(path)
+
+    def test_margin_points_in_blocks(self, scenes):
+        # several row blocks, lattice points on walls and faces among them
+        rng = np.random.default_rng(95)
+        for env, ref in scenes:
+            pts = np.vstack([rng.uniform(-1, 11, (3000, 2)),
+                             rng.integers(-2, 23, (1000, 2)) / 2.0])
+            expected = ref.margins(pts, _einsum_distance_matrix(pts, ref.edge_a, ref.edge_b))
+            assert np.array_equal(margin_points(env, pts), expected)
+
+    def test_axis_paths_through_boundary_vertices(self, scenes):
+        # the vertex's orientation against the path is exactly zero, while
+        # the rounded distance to it need not be
+        rng = np.random.default_rng(94)
+        for env, ref in scenes:
+            for vx, vy in ref.edge_a:
+                for _ in range(5):
+                    lo, hi = -rng.uniform(0.1, 3), rng.uniform(0.1, 3)
+                    for path in (ReferencePath([Vec2(vx + lo, vy), Vec2(vx + hi, vy)]),
+                                 ReferencePath([Vec2(vx, vy + lo), Vec2(vx, vy + hi)])):
+                        assert path_clearance(env, path) == ref.path_clearance(path)
 
 
 class TestReferencePath:

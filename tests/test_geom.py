@@ -242,3 +242,49 @@ class TestBatchHelpers:
         pts = rng.uniform(-4, 4, (3 * rows + rows // 2, 2))
         whole = geom._point_segment_distance_matrix(pts, seg_a, seg_b).min(axis=1)
         assert np.array_equal(min_distance_to_segments(pts, seg_a, seg_b), whole)
+
+
+def _einsum_distance_matrix(pts, a, b):
+    """The point-segment distance matrix as the kernel computed it before
+    the split-coordinate grid: 3-D differences reduced by ``einsum``."""
+    d = b - a
+    len2 = np.einsum("ij,ij->i", d, d)
+    safe = np.where(len2 > 0.0, len2, 1.0)
+    diff = pts[:, None, :] - a[None, :, :]
+    t = np.einsum("nmj,mj->nm", diff, d) / safe[None, :]
+    np.clip(t, 0.0, 1.0, out=t)
+    t[:, len2 == 0.0] = 0.0
+    closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    delta = pts[:, None, :] - closest
+    return np.sqrt(np.einsum("nmj,nmj->nm", delta, delta))
+
+
+_coord = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+_xy = st.tuples(_coord, _coord)
+
+
+class TestDistanceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=st.lists(_xy, min_size=1, max_size=5), seg_a=st.lists(_xy, min_size=1, max_size=5),
+           data=st.data(), k=st.integers(-10, 10))
+    def test_bit_identical_to_einsum_formula(self, pts, seg_a, data, k):
+        # zero-length segments and points on segment ends come from reusing
+        # drawn points; scaling by 2^k is exact, so it moves no rounding
+        pool = pts + seg_a
+        seg_b = data.draw(st.lists(st.sampled_from(pool), min_size=len(seg_a),
+                                   max_size=len(seg_a)))
+        f = math.ldexp(1.0, k)
+        p, a, b = (f * np.array(v, dtype=float) for v in (pts, seg_a, seg_b))
+        got = geom._point_segment_distance_matrix(p, a, b)
+        assert got.shape == (len(pts), len(seg_a))
+        assert np.array_equal(got, _einsum_distance_matrix(p, a, b))
+
+    def test_degenerate_cases_bit_identical(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0], [5e-7, 5e-7]])
+        b = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 3.0], [1e6, -1e6]])
+        pts = np.vstack([a, b, [[2.0, 1.0], [1e-6, -1e-6], [-1e6, 1e6]]])
+        for k in range(-10, 11):
+            f = math.ldexp(1.0, k)
+            assert np.array_equal(geom._point_segment_distance_matrix(f * pts, f * a, f * b),
+                                  _einsum_distance_matrix(f * pts, f * a, f * b))

@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from headway_sim import simulation
 from headway_sim.environment import ClearanceError, Environment, ReferencePath
 from headway_sim.geom import Polygon, Vec2
 from headway_sim.ode import SimConfig
+from headway_sim.scenario import load_scenario
 from headway_sim.simulation import (
     CSV_COLUMNS,
     compare_methods,
@@ -197,3 +200,28 @@ class TestCompareMethods:
         times = [r.travel_time for r in results.values()]
         assert all(r.converged and not r.collision_flag for r in results.values())
         assert (max(times) - min(times)) / min(times) < 0.15
+
+
+class TestPauseSignals:
+    def test_open_triangle_pause_window(self, monkeypatch):
+        # clearance forced to zero for evaluations 100-199, the four stages
+        # of steps 25-49: the path parameter stands still for 25 node
+        # intervals, one pause, and resumes
+        sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "open.yaml")
+        calls = []
+        real = simulation.safety_distance
+
+        def windowed(env, pred):
+            calls.append(None)
+            return 0.0 if 100 < len(calls) <= 200 else real(env, pred)
+
+        monkeypatch.setattr(simulation, "safety_distance", windowed)
+        res = run_episode(sc.environment, sc.path, sc.controller, "triangle", sc.sim)
+        summary = res.summary()
+        steps = len(res.t) - 1
+        assert res.converged
+        assert summary["pause_intervals"] == 1
+        assert summary["paused_fraction"] == 25 / steps
+        assert summary["min_delta_f"] == 0.0 and summary["min_delta_f_t"] == res.t[25]
+        assert np.all(res.s[25:51] == res.s[25])
+        assert res.s[24] < res.s[25] < res.s[51]
