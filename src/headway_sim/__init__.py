@@ -36,14 +36,12 @@ from .environment import (
     ClearanceError,
     Environment,
     ReferencePath,
-    free_space_margin,
     path_clearance,
     safety_distance,
 )
 from .simulation import (
     METHODS,
     EpisodeResult,
-    compare_methods,
     governor_field,
     run_episode,
 )

@@ -8,11 +8,20 @@ distance to point/segment-vs-polygon distances: exact for disk robots and
 no Minkowski-sum polygons ever need to be built.
 
 Each query builds one displacement grid between its points and the
-boundary vertices (``_grid``) and reads everything from it: the
-point/edge distances, the crossing parity behind each margin's sign, the
-orientations of the points against the edges and of the boundary vertices
-against the set's edges, the swallowed-obstacle probe and the reverse
-edge-to-set-edge distances.  The edge arrays are built once per scene.
+boundary vertices (``_grid``) and reads everything from it: the squared
+point/edge distances, the crossing parity, both orientation grids, the
+swallowed-obstacle probe and the reverse edge distances.
+
+``safety_distance`` gates first: when the unsigned margin, the root of the
+least squared distance minus the radius and the padding, is not positive,
+the clearance is 0.0 whatever the sides.  Past the gate the parity only
+asks whether any point is on the wrong side, for points farther than the
+radius plus the padding from every edge.  A filled set's edges then get
+the strict-sign crossing test alone: a touch that ``geom._meet``'s box
+tests would add puts a set vertex on a boundary edge or a boundary vertex
+on a set edge, its distance is at rounding level, and ``max(0, distance -
+radius - padding)`` maps it to 0.0 as well.  ``path_clearance`` reports
+depths below zero and keeps the full ``_meet``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ from .geom import (
     _NEXT_VERTEX,
     Polygon,
     Vec2,
-    _grid_distance,
+    _crossings,
+    _grid_sq_distance,
     _meet,
     _orientations,
     _point_segment_distance_matrix,
@@ -42,7 +52,6 @@ __all__ = [
     "Environment",
     "ReferencePath",
     "ClearanceError",
-    "free_space_margin",
     "margin_points",
     "safety_distance",
     "path_clearance",
@@ -66,7 +75,7 @@ class Environment:
 
     __slots__ = ("workspace", "obstacles", "robot_radius",
                  "_edge_a", "_group_starts", "_next_edge", "_workspace_col",
-                 "_a", "_d", "_safe", "_by", "_dy_safe")
+                 "_a", "_d", "_safe", "_ax", "_dx", "_dy_safe")
 
     def __init__(self, workspace: Polygon, obstacles: Iterable[Polygon],
                  robot_radius: float):
@@ -102,7 +111,7 @@ class Environment:
         self._a = np.ascontiguousarray(self._edge_a.T[:, None, :])
         self._d = edge_b.T[:, None, :] - self._a
         self._safe = _safe_len2(self._d)
-        self._by = edge_b[:, 1]
+        self._ax, self._dx = self._a[0], self._d[0]
         self._dy_safe = np.where(self._d[1] == 0.0, 1.0, self._d[1])
 
     def __eq__(self, other: object) -> bool:
@@ -119,27 +128,34 @@ class Environment:
 
 def _grid(env: Environment, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The displacement grid ``w`` (2, N, M) from every boundary vertex to
-    every point, and the point/edge distances (N, M) computed from it."""
+    every point, and the squared point/edge distances (N, M) from it."""
     p = pts.T[:, :, None]
     w = p - env._a
-    return w, _grid_distance(w, p, env._a, env._d, env._safe)
+    return w, _grid_sq_distance(w, p, env._a, env._d, env._safe)
+
+
+def _wrong_side(env: Environment, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Crossing parity, shape (N, P): True where a point lies outside the
+    workspace or inside an obstacle."""
+    # the rounded py - ay is >= 0 exactly when ay <= py, and each edge's end
+    # is the next edge's start, so the grid gives both straddle comparisons
+    above = w[1] >= 0.0
+    straddle = above != above.take(env._next_edge, axis=1)
+    xint = w[1] * env._dx
+    xint /= env._dy_safe
+    xint += env._ax
+    inside = np.logical_xor.reduceat(straddle & (pts[:, 0, None] < xint),
+                                     env._group_starts, axis=1)
+    return inside != env._workspace_col  # workspace inward, obstacles outward
 
 
 def _signed_distances(env: Environment, pts: np.ndarray, w: np.ndarray,
-                      dist: np.ndarray) -> np.ndarray:
+                      sq: np.ndarray) -> np.ndarray:
     """Signed distance from each point to each polygon, shape (N, P):
     positive on the free side (inside the workspace, outside an obstacle)."""
-    starts = env._group_starts
-    dmin = np.minimum.reduceat(dist, starts, axis=1)
-    # crossing parity per polygon decides inside/outside for the sign
-    px, py = pts[:, 0, None], pts[:, 1, None]
-    straddle = (env._a[1] <= py) != (env._by <= py)
-    xint = w[1] * env._d[0]
-    xint /= env._dy_safe
-    xint += env._a[0]
-    inside = np.logical_xor.reduceat(straddle & (px < xint), starts, axis=1)
-    # the workspace counts inward, obstacles outward
-    return np.negative(dmin, out=dmin, where=inside != env._workspace_col)
+    dmin = np.minimum.reduceat(sq, env._group_starts, axis=1)
+    np.sqrt(dmin, out=dmin)
+    return np.negative(dmin, out=dmin, where=_wrong_side(env, pts, w))
 
 
 def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
@@ -160,61 +176,42 @@ def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def free_space_margin(env: Environment, p: Vec2) -> float:
-    """Signed clearance of a single robot center position."""
-    return float(margin_points(env, np.array([[p.x, p.y]]))[0])
-
-
-def _segments_to_boundary(env: Environment, pts: np.ndarray, w: np.ndarray, dist: np.ndarray,
-                          start: slice | np.ndarray, end: slice | np.ndarray,
-                          area2: float = 0.0) -> float:
-    """Smallest distance from the segments ``pts[start] -> pts[end]`` to the
-    boundary edges; zero when a segment touches or crosses an edge, or when
-    the closed triangle of signed doubled area ``area2`` (nonzero) holds a
-    boundary vertex, which catches an obstacle swallowed whole.
-
-    ``w, dist`` is ``_grid(env, pts)``.  Its point/edge distances already
-    cover the segment-end-to-edge direction; the reverse direction, edge
-    vertex to segment, completes the edge-edge minimum for segments that
-    miss the boundary.  The orientations and the reverse distances come
-    from the same grid with the roles swapped, which negates it exactly.
-    """
-    seg = pts[end] - pts[start]
-    o_pts, o_edge = _orientations(w, env._d, seg, start)
-    hit = _meet(pts, start, end, env._edge_a, env._next_edge, o_pts, o_edge)
-    if area2 != 0.0:
-        # o_edge is the sign that puts a boundary vertex inside the triangle
-        inner = o_edge >= 0.0 if area2 > 0.0 else o_edge <= 0.0
-        hit = hit | inner.all(axis=0)
-    if bool(hit.any()):
-        return 0.0
-    p, d = pts[start].T[:, :, None], seg.T[:, :, None]
-    # the reverse grid is -w; dividing by -safe instead negates t exactly
-    d_rev = _grid_distance(w[:, start], env._a, p, d, -_safe_len2(d))
-    return min(float(dist.min()), float(d_rev.min()))
-
-
 def safety_distance(env: Environment, pred: PredictionSet) -> float:
     """Minimum clearance of a prediction set; exactly zero when it exits
     the free space.
 
-    The smallest point margin minus the padding is the clearance of an
-    unfilled set.  A filled set also needs its edges clear, and an obstacle
-    swallowed whole by it escapes the edge-distance test, so boundary
-    vertices are probed for containment.  A collinear triangle holds a
-    boundary vertex only where one of its edges meets that vertex's edge,
-    which the intersection test already finds.
+    In order: the margin gate, the parity, and for a filled set its edges,
+    by strict sign (see the module docstring), and the swallowed-obstacle
+    probe; then the least of the point/edge and reverse distances.  A
+    collinear triangle holds a boundary vertex only on an edge, where the
+    reverse distance is at rounding level.
     """
     pts = pred.points
-    w, dist = _grid(env, pts)
-    margin = float(_signed_distances(env, pts, w, dist).min()) - env.robot_radius - pred.padding
-    if not pred.filled or margin <= 0.0:
-        return max(0.0, margin)
+    w, sq = _grid(env, pts)
+    least = sq.min()
+    margin = math.sqrt(least) - env.robot_radius - pred.padding
+    if margin <= 0.0 or _wrong_side(env, pts, w).any():
+        return 0.0
+    if not pred.filled:
+        return margin
     (x0, y0), (x1, y1), (x2, y2) = pts.tolist()
+    sx, sy = (x1 - x0, x2 - x1, x0 - x2), (y1 - y0, y2 - y1, y0 - y2)
+    # the edge directions (2, 3, 1) and their negated _safe_len2 (3, 1)
+    edges = np.array([sx, sy, [-q if q > 0.0 else -math.inf
+                               for q in (u * u + v * v for u, v in zip(sx, sy))]])
+    sd = edges[:2, :, None]
+    o_pts, o_edge = _orientations(w, env._d, sd, slice(None))
+    if _crossings(slice(None), _NEXT_VERTEX, env._next_edge, o_pts, o_edge).any():
+        return 0.0
     area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    edge_clearance = (_segments_to_boundary(env, pts, w, dist, slice(None), _NEXT_VERTEX, area2)
-                      - env.robot_radius - pred.padding)
-    return max(0.0, min(margin, edge_clearance))
+    # a boundary vertex in the closed triangle has no o_edge of the wrong sign
+    if area2 > 0.0 and o_edge.min(axis=0).max() >= 0.0:
+        return 0.0
+    if area2 < 0.0 and o_edge.max(axis=0).min() <= 0.0:
+        return 0.0
+    # the reverse grid is -w; dividing by -safe instead negates t exactly
+    rev = _grid_sq_distance(w, env._a, pts.T[:, :, None], sd, edges[2, :, None])
+    return max(0.0, math.sqrt(min(least, rev.min())) - env.robot_radius - pred.padding)
 
 
 class ReferencePath:
@@ -272,14 +269,24 @@ def path_clearance(env: Environment, path: ReferencePath) -> float:
     Exact while the path stays off the boundary: its vertex margins give the
     sign, the segment-to-boundary distance the size.  A path that touches or
     crosses the boundary gets a value no greater than minus the robot
-    radius.  Scenario validation requires this to be positive before a
-    governor run starts; the safe-following guarantee assumes a path with
-    clearance.
+    radius; ``_meet``'s box tests find the touches, whose rounded distances
+    need not be zero.  Scenario validation requires this to be positive
+    before a governor run starts; the safe-following guarantee assumes a
+    path with clearance.
     """
     pts = path._xy
-    w, dist = _grid(env, pts)
-    vertex_margin = float(_signed_distances(env, pts, w, dist).min()) - env.robot_radius
-    edge_distance = _segments_to_boundary(env, pts, w, dist, slice(None, -1), slice(1, None))
+    w, sq = _grid(env, pts)
+    vertex_margin = float(_signed_distances(env, pts, w, sq).min()) - env.robot_radius
+    start, end = slice(None, -1), slice(1, None)
+    sd = (pts[end] - pts[start]).T[:, :, None]
+    o_pts, o_edge = _orientations(w, env._d, sd, start)
+    if _meet(pts, start, end, env._edge_a, env._next_edge, o_pts, o_edge).any():
+        edge_distance = 0.0
+    else:
+        # the reverse grid is -w; dividing by -safe instead negates t exactly
+        rev = _grid_sq_distance(w[:, start], env._a, pts[start].T[:, :, None], sd,
+                                -_safe_len2(sd))
+        edge_distance = math.sqrt(min(sq.min(), rev.min()))
     return min(vertex_margin, edge_distance - env.robot_radius)
 
 

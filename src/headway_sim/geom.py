@@ -10,10 +10,12 @@ polygons), ``triangle_contains`` and ``triangle_distance``.
 
 Both the distance and the intersection test start from one displacement
 grid ``w = p - a`` (2, N, M), every point minus every segment start with x
-and y split along the first axis.  ``_grid_distance`` and
+and y split along the first axis.  ``_grid_sq_distance`` and
 ``_orientations`` take the grid from their caller, so the clearance
 queries in ``environment`` build it once per query and derive everything
-from it; where roles swap, the grid is negated, which is exact.
+from it; where roles swap, the grid is negated, which is exact.  The
+kernel stops at squared distances: sqrt is correctly rounded and monotone,
+so the root of a minimum is the minimum of the roots.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ def _point_segment_distance_matrix(pts: np.ndarray, a: np.ndarray, b: np.ndarray
     """Distances from N points to M segments, shape (N, M)."""
     p, a = pts.T[:, :, None], a.T[:, None, :]
     d = b.T[:, None, :] - a
-    return _grid_distance(p - a, p, a, d, _safe_len2(d))
+    sq = _grid_sq_distance(p - a, p, a, d, _safe_len2(d))
+    return np.sqrt(sq, out=sq)
 
 
 def _safe_len2(d: np.ndarray) -> np.ndarray:
@@ -200,9 +203,9 @@ def _safe_len2(d: np.ndarray) -> np.ndarray:
     return np.where(len2 > 0.0, len2, np.inf)
 
 
-def _grid_distance(w: np.ndarray, p: np.ndarray, a: np.ndarray, d: np.ndarray,
-                   safe: np.ndarray) -> np.ndarray:
-    """The one point-segment distance formula, on a displacement grid.
+def _grid_sq_distance(w: np.ndarray, p: np.ndarray, a: np.ndarray, d: np.ndarray,
+                      safe: np.ndarray) -> np.ndarray:
+    """The one point-segment distance formula, squared, on a displacement grid.
 
     Coordinates are split along the first axis: ``w = p - a`` (2, N, M)
     holds every point minus every segment start, and the points ``p``,
@@ -210,7 +213,8 @@ def _grid_distance(w: np.ndarray, p: np.ndarray, a: np.ndarray, d: np.ndarray,
     ``safe`` from ``_safe_len2`` against one coordinate.  A caller that
     already holds the grid (the clearance queries in ``environment``) pays
     for no second copy.  Per element, in order: ``t = (wx dx + wy dy) /
-    safe`` clipped to [0, 1], ``e = p - (a + t d)``, ``sqrt(ex ex + ey ey)``.
+    safe`` clamped to [0, 1], ``e = p - (a + t d)``, ``ex ex + ey ey``; the
+    distance is its square root.
     """
     x = w * d
     t = x[0] + x[1]
@@ -221,19 +225,18 @@ def _grid_distance(w: np.ndarray, p: np.ndarray, a: np.ndarray, d: np.ndarray,
     e += a
     np.subtract(p, e, out=e)
     e *= e
-    return np.sqrt(np.add(e[0], e[1], out=t), out=t)
+    return np.add(e[0], e[1], out=t)
 
 
-def _orientations(w: np.ndarray, d: np.ndarray, seg: np.ndarray,
+def _orientations(w: np.ndarray, d: np.ndarray, sd: np.ndarray,
                   start: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orientation grids from the displacement grid ``w`` (2, P, M) of P
     points against M edges with directions ``d`` (2, 1, M): every point
     against every edge, ``dx wy - dy wx`` (P, M), and every edge start
-    against every segment ``seg`` (S, 2) starting at ``start``,
-    ``sy wx - sx wy`` (S, M), which is the usual orientation with the
-    differences negated, exactly."""
+    against every segment (directions ``sd`` (2, S, 1)) starting at
+    ``start``, ``sy wx - sx wy`` (S, M), the usual one negated, exactly."""
     o = w * d[::-1]
-    r = w[:, start] * seg.T[::-1, :, None]
+    r = w[:, start] * sd[::-1]
     return o[1] - o[0], r[0] - r[1]
 
 
@@ -275,8 +278,20 @@ def segments_meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.nd
     """
     a = edge_a.T[:, None, :]
     d = edge_a[next_edge].T[:, None, :] - a
-    o_pts, o_edge = _orientations(pts.T[:, :, None] - a, d, pts[end] - pts[start], start)
+    sd = (pts[end] - pts[start]).T[:, :, None]
+    o_pts, o_edge = _orientations(pts.T[:, :, None] - a, d, sd, start)
     return _meet(pts, start, end, edge_a, next_edge, o_pts, o_edge)
+
+
+def _crossings(start: slice | np.ndarray, end: slice | np.ndarray, next_edge: np.ndarray,
+               o_pts: np.ndarray, o_edge: np.ndarray) -> np.ndarray:
+    """The strict-sign part of ``_meet``, a zero orientation counting as
+    negative: in exact arithmetic the zeros add crossings only where the two
+    touch and miss touches, which ``_meet``'s box tests find."""
+    pos_pts, pos_edge = o_pts > 0, o_edge > 0
+    # take is cheaper than fancy indexing on these small grids
+    ends = pos_pts[end] if isinstance(end, slice) else pos_pts.take(end, axis=0)
+    return (pos_pts[start] != ends) & (pos_edge != pos_edge.take(next_edge, axis=1))
 
 
 def _meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.ndarray,
@@ -288,12 +303,9 @@ def _meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.ndarray,
     sides of the other's line, and a point whose orientation against the
     other segment is exactly zero meets it when it lies in that segment's
     bounding box."""
-    pos_pts, pos_edge = o_pts > 0, o_edge > 0
-    meet = (pos_pts[start] != pos_pts[end]) & (pos_edge != pos_edge[:, next_edge])
+    meet = _crossings(start, end, next_edge, o_pts, o_edge)
     if o_pts.all() and o_edge.all():
         return meet
-    # zeros count as negative above, which in exact arithmetic only adds
-    # crossings at the zero point itself; the box tests find every touch
     ex0, ey0 = edge_a[:, 0], edge_a[:, 1]
     edge_b = edge_a[next_edge]
     ex1, ey1 = edge_b[:, 0], edge_b[:, 1]

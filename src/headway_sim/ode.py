@@ -139,10 +139,12 @@ def convergence_budget(state: UnicycleState, goal: Vec2, params: ControllerParam
     return 1.5 * math.log(h0 / ((1.0 - eps) * tol)) / params.ref_gain + 5.0
 
 
-def rollout(law: Callable[..., tuple[float, float]], coeffs: tuple, state: UnicycleState,
-            goal: Vec2, step: float, max_time: float, tol: float) -> Trajectory:
+def rollout(law: Callable[..., tuple[float, float, float, float]], coeffs: tuple,
+            state: UnicycleState, goal: Vec2, step: float, max_time: float,
+            tol: float) -> Trajectory:
     """Integrate the unicycle under ``law(px, py, theta, gx, gy, coeffs) ->
-    (v, w)`` toward a fixed goal.
+    (x_rate, y_rate, w, v)``, the state derivative plus the speed, toward a
+    fixed goal.
 
     Stops once the goal distance is at most ``tol`` (flagged as converged)
     or at ``max_time``, which the last, shortened step lands on exactly.
@@ -159,21 +161,10 @@ def rollout(law: Callable[..., tuple[float, float]], coeffs: tuple, state: Unicy
         dt = min(step, max_time - t)
         half = 0.5 * dt
         sixth = dt / 6.0
-        v1, w1 = law(px, py, th, gx, gy, coeffs)
-        k1x = v1 * math.cos(th)
-        k1y = v1 * math.sin(th)
-        x2, y2, th2 = px + half * k1x, py + half * k1y, th + half * w1
-        v2, w2 = law(x2, y2, th2, gx, gy, coeffs)
-        k2x = v2 * math.cos(th2)
-        k2y = v2 * math.sin(th2)
-        x3, y3, th3 = px + half * k2x, py + half * k2y, th + half * w2
-        v3, w3 = law(x3, y3, th3, gx, gy, coeffs)
-        k3x = v3 * math.cos(th3)
-        k3y = v3 * math.sin(th3)
-        x4, y4, th4 = px + dt * k3x, py + dt * k3y, th + dt * w3
-        v4, w4 = law(x4, y4, th4, gx, gy, coeffs)
-        k4x = v4 * math.cos(th4)
-        k4y = v4 * math.sin(th4)
+        k1x, k1y, w1, _ = law(px, py, th, gx, gy, coeffs)
+        k2x, k2y, w2, _ = law(px + half * k1x, py + half * k1y, th + half * w1, gx, gy, coeffs)
+        k3x, k3y, w3, _ = law(px + half * k2x, py + half * k2y, th + half * w2, gx, gy, coeffs)
+        k4x, k4y, w4, _ = law(px + dt * k3x, py + dt * k3y, th + dt * w3, gx, gy, coeffs)
         px += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         py += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
         th += sixth * (w1 + 2.0 * (w2 + w3) + w4)

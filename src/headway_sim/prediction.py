@@ -18,26 +18,20 @@ three points.
   baseline.
 
 All sets shrink to the goal point as the robot converges, which is what the
-path governor needs to keep making progress.
+path governor needs to keep making progress.  The circle and the triangle
+are built from floats ``(x, y, cos theta, sin theta, gx, gy)`` on the
+frame kernel ``unicycle._turning_frame``, bit for bit as ``Vec2`` built them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .geom import Triangle, Vec2, triangle_distance
 from .ode import SimConfig, simulate_to_goal
-from .unicycle import (
-    ControllerParams,
-    UnicycleState,
-    headway_frame,
-    headway_point,
-    heading_vector,
-)
+from .unicycle import ControllerParams, UnicycleState, _turning_frame, headway_frame, headway_point
 
 __all__ = [
     "PredictionSet",
@@ -53,7 +47,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class PredictionSet:
     """Prediction region: the points (K, 2) widened by ``padding``.
 
@@ -68,18 +61,16 @@ class PredictionSet:
     or parameter fault rather than a controller failure.
     """
 
-    points: np.ndarray
-    padding: float
-    converged: bool = True
-    filled: ClassVar[bool] = False
+    __slots__ = ("points", "padding", "converged")
+    filled = False
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+    def __init__(self, points, padding: float, converged: bool = True):
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(pts) < 1:
             raise ValueError("prediction set needs at least one point")
-        if not (self.padding >= 0.0 and math.isfinite(self.padding)):
-            raise ValueError(f"prediction set padding must be >= 0, got {self.padding}")
-        object.__setattr__(self, "points", pts)
+        if not (padding >= 0.0 and math.isfinite(padding)):
+            raise ValueError(f"prediction set padding must be >= 0, got {padding}")
+        self.points, self.padding, self.converged = pts, padding, converged
 
 
 class Disk(PredictionSet):
@@ -90,10 +81,12 @@ class Disk(PredictionSet):
     for callers that dispatch on the construction.
     """
 
+    __slots__ = ()
+
     def __init__(self, center: Vec2, radius: float):
         if not (radius >= 0.0 and math.isfinite(radius)):
             raise ValueError(f"disk radius must be >= 0, got {radius}")
-        super().__init__(np.array([[center.x, center.y]]), radius)
+        super().__init__([[center.x, center.y]], radius)
 
     @property
     def center(self) -> Vec2:
@@ -105,12 +98,16 @@ class Disk(PredictionSet):
 
 
 class Tri(PredictionSet):
-    """Filled triangular prediction region (possibly degenerate), unpadded."""
+    """Filled triangular prediction region (possibly degenerate), unpadded,
+    from its three vertex rows (3, 2)."""
 
+    __slots__ = ()
     filled = True
 
-    def __init__(self, triangle: Triangle):
-        super().__init__(triangle.vertex_array(), 0.0)
+    def __init__(self, vertices):
+        super().__init__(vertices, 0.0)
+        if len(self.points) != 3:
+            raise ValueError(f"a triangle needs 3 vertices, got {len(self.points)}")
 
     @property
     def triangle(self) -> Triangle:
@@ -123,23 +120,52 @@ def goal_alignment(state: UnicycleState, goal: Vec2) -> float:
     Returns 1.0 at the goal itself, where the bearing is undefined and
     every prediction set degenerates to the goal point anyway.
     """
-    delta = goal - state.position
-    r = delta.norm()
+    dx, dy, th = goal.x - state.position.x, goal.y - state.position.y, state.orientation
+    r = math.hypot(dx, dy)
+    return 1.0 if r == 0.0 else (math.cos(th) * dx + math.sin(th) * dy) / r
+
+
+def _disk_radius(x: float, y: float, c: float, s: float, gx: float, gy: float,
+                 eps: float) -> float:
+    """Radius of the circular prediction for a robot at ``(x, y)`` with
+    heading ``(c, s)``."""
+    dx, dy = gx - x, gy - y
+    r = math.hypot(dx, dy)
+    if r == 0.0 or (c * dx + s * dy) / r >= eps:
+        return r
+    _, _, tx, ty, qx, qy, k, ccw = _turning_frame(x, y, c, s, gx, gy, eps, r)
+    nx, ny = (-ty, tx) if ccw else (ty, -tx)
+    return math.hypot(qx + nx * k - gx, qy + ny * k - gy)
+
+
+def _triangle_rows(x: float, y: float, c: float, s: float, gx: float, gy: float,
+                   eps: float, aligned: bool | None = None) -> list[list[float]]:
+    """Vertex rows of the triangular prediction for a robot at ``(x, y)``
+    with heading ``(c, s)``; ``aligned`` forces a branch, which the
+    alignment ``a`` picks when None.  The forward-motion branch stretches
+    the headway point by ``(1 - a) / (1 - eps)`` headway distances; the
+    turning branch mirrors the extended position across the travel line."""
+    dx, dy = gx - x, gy - y
+    r = math.hypot(dx, dy)
     if r == 0.0:
-        return 1.0
-    return heading_vector(state.orientation).dot(delta) / r
+        return [[gx, gy], [gx, gy], [gx, gy]]
+    a = (c * dx + s * dy) / r
+    if aligned is None:
+        aligned = a >= eps
+    if aligned:
+        d = eps * r
+        m = (1.0 - a) / (1.0 - eps) * d
+        return [[gx, gy], [x, y], [x + c * d + c * m, y + s * d + s * m]]
+    _, _, tx, ty, qx, qy, k, _ = _turning_frame(x, y, c, s, gx, gy, eps, r)
+    return [[gx, gy], [qx + -ty * k, qy + tx * k], [qx + ty * k, qy + -tx * k]]
 
 
 def circular_prediction(state: UnicycleState, goal: Vec2,
                         params: ControllerParams) -> Disk:
     """Goal-centered disk containing the future position trajectory."""
-    r = (state.position - goal).norm()
-    if r == 0.0:
-        return Disk(goal, 0.0)
-    if goal_alignment(state, goal) >= params.headway_coeff:
-        return Disk(goal, r)
-    frame = headway_frame(state, goal, params)
-    return Disk(goal, (frame.extended - goal).norm())
+    p, th = state.position, state.orientation
+    return Disk(goal, _disk_radius(p.x, p.y, math.cos(th), math.sin(th), goal.x, goal.y,
+                                   params.headway_coeff))
 
 
 def triangular_bound(state: UnicycleState, goal: Vec2,
@@ -160,30 +186,6 @@ def triangular_bound(state: UnicycleState, goal: Vec2,
     return Triangle(goal, frame.projected, frame.extended)
 
 
-def _aligned_prediction_vertices(state: UnicycleState, goal: Vec2,
-                                 params: ControllerParams) -> tuple[Vec2, Vec2, Vec2]:
-    """Forward-motion branch vertices: goal, position, stretched headway point."""
-    p = state.position
-    eps = params.headway_coeff
-    r = (goal - p).norm()
-    d = eps * r
-    a = goal_alignment(state, goal)
-    h = headway_point(state, goal, params)
-    stretched = h + ((1.0 - a) / (1.0 - eps) * d) * heading_vector(state.orientation)
-    return goal, p, stretched
-
-
-def _turning_prediction_vertices(state: UnicycleState, goal: Vec2,
-                                 params: ControllerParams) -> tuple[Vec2, Vec2, Vec2]:
-    """Turning branch vertices: goal plus both signed extended positions."""
-    eps = params.headway_coeff
-    frame = headway_frame(state, goal, params)
-    proj = frame.projected
-    proj_dist = (proj - goal).norm()
-    offset = (eps / math.sqrt(1.0 - eps * eps) * proj_dist) * frame.tangent.perp()
-    return goal, proj + offset, proj - offset
-
-
 def triangular_prediction(state: UnicycleState, goal: Vec2,
                           params: ControllerParams) -> Tri:
     """Enlarged triangular prediction with a continuous branch switch.
@@ -192,14 +194,9 @@ def triangular_prediction(state: UnicycleState, goal: Vec2,
     point set, so the induced distance-to-collision measure is Lipschitz in
     the robot state.
     """
-    p = state.position
-    if (p - goal).norm() == 0.0:
-        return Tri(Triangle(goal, goal, goal))
-    if goal_alignment(state, goal) >= params.headway_coeff:
-        v0, v1, v2 = _aligned_prediction_vertices(state, goal, params)
-    else:
-        v0, v1, v2 = _turning_prediction_vertices(state, goal, params)
-    return Tri(Triangle(v0, v1, v2))
+    p, th = state.position, state.orientation
+    return Tri(_triangle_rows(p.x, p.y, math.cos(th), math.sin(th), goal.x, goal.y,
+                              params.headway_coeff))
 
 
 def forward_sim_prediction(state: UnicycleState, goal: Vec2, params: ControllerParams,
@@ -237,4 +234,4 @@ def prediction_goal_radius(pred: PredictionSet, goal: Vec2) -> float:
     closed-loop motion.
     """
     gx, gy = goal.x, goal.y
-    return max(math.hypot(x - gx, y - gy) for x, y in pred.points.tolist()) + pred.padding
+    return max([math.hypot(x - gx, y - gy) for x, y in pred.points.tolist()]) + pred.padding

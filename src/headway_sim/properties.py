@@ -17,7 +17,6 @@ from .environment import Environment, ReferencePath
 from .geom import (
     Polygon,
     Segment,
-    Triangle,
     Vec2,
     min_distance_to_segments,
     point_segment_distance,
@@ -27,8 +26,7 @@ from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
 from .prediction import (
     Disk,
     Tri,
-    _aligned_prediction_vertices,
-    _turning_prediction_vertices,
+    _triangle_rows,
     circular_prediction,
     forward_sim_prediction,
     prediction_distance,
@@ -43,8 +41,6 @@ from .unicycle import (
     _fixed_control,
     headway_frame,
     headway_point,
-    heading_vector,
-    normal_vector,
     wrap_angle,
 )
 
@@ -473,6 +469,12 @@ def _boundary_state(rng: np.random.Generator, eps: float) -> tuple[UnicycleState
     return UnicycleState(pos, theta), goal
 
 
+def _branch_rows(state: UnicycleState, goal: Vec2, params: ControllerParams):
+    p, th = state.position, state.orientation
+    return tuple(_triangle_rows(p.x, p.y, math.cos(th), math.sin(th), goal.x, goal.y,
+                                params.headway_coeff, aligned) for aligned in (True, False))
+
+
 def check_branch_continuity(seed: int = 0, n: int = 1000,
                             tol: float = 1e-9) -> CheckResult:
     """On the alignment boundary both triangle constructions agree vertex-wise."""
@@ -481,11 +483,10 @@ def check_branch_continuity(seed: int = 0, n: int = 1000,
     for _ in range(n):
         params = _sample_params(rng, eps_range=(0.1, 0.9))
         state, goal = _boundary_state(rng, params.headway_coeff)
-        va = _aligned_prediction_vertices(state, goal, params)
-        vt = _turning_prediction_vertices(state, goal, params)
-        worst = max(worst, (va[0] - vt[0]).norm())
+        va, vt = _branch_rows(state, goal, params)
+        worst = max(worst, math.dist(va[0], vt[0]))
         pairings = ((va[1], va[2], vt[1], vt[2]), (va[1], va[2], vt[2], vt[1]))
-        best = min(max((a - c).norm(), (b - d).norm()) for a, b, c, d in pairings)
+        best = min(max(math.dist(a, c), math.dist(b, d)) for a, b, c, d in pairings)
         worst = max(worst, best)
     return CheckResult("branch-continuity", worst <= tol,
                        f"{n} boundary states, max vertex mismatch {worst:.3e}")
@@ -518,10 +519,9 @@ def check_distance_lipschitz(seed: int = 0, n: int = 2000,
         params = _sample_params(rng, eps_range=(0.2, 0.8))
         state, goal = _boundary_state(rng, params.headway_coeff)
         z = Vec2(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)))
-        va = _aligned_prediction_vertices(state, goal, params)
-        vt = _turning_prediction_vertices(state, goal, params)
-        da = prediction_distance(Tri(Triangle(*va)), z)
-        dtn = prediction_distance(Tri(Triangle(*vt)), z)
+        va, vt = _branch_rows(state, goal, params)
+        da = prediction_distance(Tri(va), z)
+        dtn = prediction_distance(Tri(vt), z)
         worst_jump = max(worst_jump, abs(da - dtn))
         r = (state.position - goal).norm()
         aligned_disk = Disk(goal, r)
@@ -577,12 +577,11 @@ def check_nonholonomic_exact(seed: int = 0, n: int = 10_000) -> CheckResult:
         th = float(rng.uniform(-math.pi, math.pi))
         _, x_rate, y_rate, _, v, *_ = governor_field(env, path, params, "circle", config,
                                                      s, x, y, th)
-        o = heading_vector(th)
-        nvec = normal_vector(th)
+        c, sn = math.cos(th), math.sin(th)
         # the two products of n . o share their factors, so the dot cancels exactly
-        if nvec.dot(o) != 0.0:
+        if -sn * c + c * sn != 0.0:
             return CheckResult("nonholonomic-exact", False, "normal not orthogonal")
-        if x_rate != v * o.x or y_rate != v * o.y:
+        if x_rate != v * c or y_rate != v * sn:
             return CheckResult("nonholonomic-exact", False, "velocity off heading")
     return CheckResult("nonholonomic-exact", True,
                        f"{n} samples, constraint holds exactly")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -47,7 +48,6 @@ __all__ = [
     "prediction_set",
     "governor_field",
     "run_episode",
-    "compare_methods",
     "read_trajectory_csv",
     "CSV_COLUMNS",
 ]
@@ -98,9 +98,9 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
     clearance = safety_distance(env, pred)
     radius = prediction_goal_radius(pred, goal)
     s_rate = min(config.clearance_gain * clearance, config.endpoint_gain * (path.length - s))
-    v, w = _adaptive_control(x, y, th, goal.x, goal.y,
-                             (params.headway_coeff, params.ref_gain, params.goal_tolerance))
-    return (s_rate, v * math.cos(th), v * math.sin(th), w, v, clearance, radius, pred)
+    x_rate, y_rate, w, v = _adaptive_control(
+        x, y, th, goal.x, goal.y, (params.headway_coeff, params.ref_gain, params.goal_tolerance))
+    return (s_rate, x_rate, y_rate, w, v, clearance, radius, pred)
 
 
 @dataclass
@@ -262,8 +262,9 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     t = 0.0
     s = 0.0
     x, y, th = start.x, start.y, theta0
-    ts, ss, xs, ys, ths = [t], [s], [x], [y], [th]
-    vs, ws, dfs, radii = [], [], [], []
+    # C doubles, not float objects: 8 bytes a logged value instead of 32
+    ts, ss, xs, ys, ths = (array("d", [value]) for value in (t, s, x, y, th))
+    vs, ws, dfs, radii = array("d"), array("d"), array("d"), array("d")
     converged = False
     while True:
         k1 = field(s, x, y, th)
@@ -333,10 +334,3 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     )
     return result
 
-
-def compare_methods(env: Environment, path: ReferencePath, params: ControllerParams,
-                    config: SimConfig, methods: tuple[str, ...] = METHODS,
-                    initial_theta: Optional[float] = None) -> dict[str, EpisodeResult]:
-    """Run one episode per prediction method on the same scenario."""
-    return {m: run_episode(env, path, params, m, config, initial_theta)
-            for m in methods}

@@ -6,8 +6,9 @@ Goal seeking uses a virtual *headway point* placed ahead of the robot on
 its heading and steered by first-order error feedback toward the goal.
 
 Two control laws are provided, each as a scalar kernel ``law(px, py,
-theta, gx, gy, coeffs) -> (v, w)`` with the law's coefficients in one
-tuple, which the integrator hot loops call directly:
+theta, gx, gy, coeffs) -> (v cos(theta), v sin(theta), w, v)``, the state
+derivative plus the speed, one sine and cosine a call, with the law's
+coefficients in one tuple, which the integrator hot loops call directly:
 
 * ``_adaptive_control`` scales the headway distance with the current goal
   distance (``d = eps * |goal - position|``).  With ``eps < 1`` the
@@ -35,8 +36,6 @@ __all__ = [
     "ControllerParams",
     "HeadwayFrame",
     "wrap_angle",
-    "heading_vector",
-    "normal_vector",
     "headway_point",
     "headway_frame",
 ]
@@ -49,16 +48,6 @@ def wrap_angle(theta: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     w = math.remainder(theta, _TAU)
     return -math.pi if w == math.pi else w
-
-
-def heading_vector(theta: float) -> Vec2:
-    """Unit vector along the robot heading."""
-    return Vec2(math.cos(theta), math.sin(theta))
-
-
-def normal_vector(theta: float) -> Vec2:
-    """Unit vector normal to the heading (heading rotated by +pi/2)."""
-    return Vec2(-math.sin(theta), math.cos(theta))
 
 
 @dataclass(frozen=True)
@@ -120,20 +109,21 @@ class HeadwayFrame:
 def headway_point(state: UnicycleState, goal: Vec2, params: ControllerParams) -> Vec2:
     """Virtual point one adaptive headway distance, ``eps * |position -
     goal|``, ahead of the robot."""
-    d = params.headway_coeff * (state.position - goal).norm()
-    return state.position + d * heading_vector(state.orientation)
+    x, y, th = state.position.x, state.position.y, state.orientation
+    d = params.headway_coeff * math.hypot(x - goal.x, y - goal.y)
+    return Vec2(x + math.cos(th) * d, y + math.sin(th) * d)
 
 
 def _adaptive_control(px: float, py: float, theta: float, gx: float, gy: float,
-                      coeffs: tuple[float, float, float]) -> tuple[float, float]:
+                      coeffs: tuple[float, float, float]) -> tuple:
     """Scalar kernel of the adaptive headway control law; ``coeffs`` is
     ``(headway_coeff, ref_gain, goal_tolerance)``."""
     eps, gain, tol = coeffs
     dx = gx - px
     dy = gy - py
     r = math.hypot(dx, dy)
-    if r <= tol:
-        return 0.0, 0.0
+    if r <= tol:  # zero input, with the signs of zero that v cos, v sin give
+        return 0.0 * math.cos(theta), 0.0 * math.sin(theta), 0.0, 0.0
     ux = dx / r
     uy = dy / r
     c = math.cos(theta)
@@ -142,11 +132,11 @@ def _adaptive_control(px: float, py: float, theta: float, gx: float, gy: float,
     across = -s * ux + c * uy        # normal . unit-to-goal
     v = gain * r * (align - eps) / (1.0 - eps * align)
     w = (gain / eps) * across
-    return v, w
+    return v * c, v * s, w, v
 
 
 def _fixed_control(px: float, py: float, theta: float, gx: float, gy: float,
-                   coeffs: tuple[float, float]) -> tuple[float, float]:
+                   coeffs: tuple[float, float]) -> tuple:
     """Scalar kernel of the fixed-offset headway law; ``coeffs`` is
     ``(gain, fixed_distance)``."""
     gain, d = coeffs
@@ -156,7 +146,29 @@ def _fixed_control(px: float, py: float, theta: float, gx: float, gy: float,
     s = math.sin(theta)
     v = gain * (c * dx + s * dy - d)
     w = (gain / d) * (-s * dx + c * dy)
-    return v, w
+    return v * c, v * s, w, v
+
+
+def _turning_frame(x: float, y: float, c: float, s: float, gx: float, gy: float,
+                   eps: float, r: float) -> tuple:
+    """Float kernel of ``headway_frame`` for a robot at ``(x, y)`` with
+    heading ``(c, s)`` and goal distance ``r > 0``: the headway point, the
+    unit tangent ``t``, the projected position, the extended position's
+    offset along the normal, and whether the normal is ``(-ty, tx)`` (else
+    ``(ty, -tx)``).  Operations follow the order of the ``Vec2`` expressions
+    they replaced, so every caller gets the same floats."""
+    kh = eps * r
+    hx, hy = x + c * kh, y + s * kh
+    to_x, to_y = gx - hx, gy - hy
+    # |goal - h| >= (1 - eps) * r > 0, but below about 5.6e-309 it has no inverse
+    inv = 1.0 / math.hypot(to_x, to_y)
+    if inv == math.inf:
+        raise ValueError(f"goal distance {r!r} is too small for a headway frame")
+    tx, ty = to_x * inv, to_y * inv
+    along = tx * (x - gx) + ty * (y - gy)
+    qx, qy = gx + tx * along, gy + ty * along
+    k = eps / math.sqrt(1.0 - eps * eps) * math.hypot(qx - gx, qy - gy)
+    return hx, hy, tx, ty, qx, qy, k, (gx - x) * -s + (gy - y) * c >= 0.0
 
 
 def headway_frame(state: UnicycleState, goal: Vec2, params: ControllerParams) -> HeadwayFrame:
@@ -167,22 +179,12 @@ def headway_frame(state: UnicycleState, goal: Vec2, params: ControllerParams) ->
     and normal.  The normal's sign tie (robot exactly on the travel line)
     resolves to the counterclockwise quarter-turn of the tangent.
     """
-    p = state.position
-    delta = goal - p
-    r = delta.norm()
+    x, y, th = state.position.x, state.position.y, state.orientation
+    r = math.hypot(goal.x - x, goal.y - y)
     if r == 0.0:
         return HeadwayFrame(goal, _ZERO, _ZERO, goal, goal)
-    eps = params.headway_coeff
-    h = p + (eps * r) * heading_vector(state.orientation)
-    to_goal = goal - h
-    # |goal - h| >= (1 - eps) * r > 0 away from the goal
-    tangent = to_goal * (1.0 / to_goal.norm())
-    if delta.dot(normal_vector(state.orientation)) >= 0.0:
-        normal = tangent.perp()
-    else:
-        normal = -tangent.perp()
-    projected = goal + tangent * tangent.dot(p - goal)
-    proj_dist = (projected - goal).norm()
-    scale = eps / math.sqrt(1.0 - eps * eps)
-    extended = projected + (scale * proj_dist) * normal
-    return HeadwayFrame(h, tangent, normal, projected, extended)
+    hx, hy, tx, ty, qx, qy, k, ccw = _turning_frame(
+        x, y, math.cos(th), math.sin(th), goal.x, goal.y, params.headway_coeff, r)
+    nx, ny = (-ty, tx) if ccw else (ty, -tx)
+    return HeadwayFrame(Vec2(hx, hy), Vec2(tx, ty), Vec2(nx, ny), Vec2(qx, qy),
+                        Vec2(qx + nx * k, qy + ny * k))

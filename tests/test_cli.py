@@ -32,6 +32,20 @@ def _cli_subprocess(*args: str, timeout: float = 60.0) -> subprocess.CompletedPr
                           capture_output=True, text=True, timeout=timeout)
 
 
+def test_import_loads_no_undeclared_packages():
+    # scipy, sympy and hypothesis are installed here but are not
+    # dependencies; importing one would add its load time to every run
+    # (scipy.spatial alone takes most of a second)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    code = ("import sys, headway_sim, headway_sim.cli; "
+            "print(*sorted({'scipy', 'sympy', 'hypothesis'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
 @pytest.fixture
 def corridor(tmp_path):
     target = tmp_path / "corridor.yaml"

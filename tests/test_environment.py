@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from headway_sim.environment import (
     Environment,
     ReferencePath,
-    free_space_margin,
     margin_points,
     path_clearance,
     safety_distance,
@@ -50,33 +49,36 @@ class TestEnvironmentValidation:
         assert empty_env != Environment(square(10), [], robot_radius=0.5)
 
 
+def margin_at(env, x, y):
+    return float(margin_points(env, [[x, y]])[0])
+
+
 class TestFreeSpaceMargin:
     def test_center_of_empty_square(self, empty_env):
-        assert free_space_margin(empty_env, Vec2(5, 5)) == pytest.approx(4.0, abs=1e-12)
+        assert margin_at(empty_env, 5, 5) == pytest.approx(4.0, abs=1e-12)
 
     def test_on_workspace_boundary(self, empty_env):
-        assert free_space_margin(empty_env, Vec2(0, 5)) == pytest.approx(-1.0, abs=1e-12)
+        assert margin_at(empty_env, 0, 5) == pytest.approx(-1.0, abs=1e-12)
 
     def test_inside_obstacle_negative(self, obstacle_env):
         # 1 m deep inside the obstacle, minus the 0.5 m radius
-        assert free_space_margin(obstacle_env, Vec2(5, 5)) == pytest.approx(-1.5, abs=1e-12)
+        assert margin_at(obstacle_env, 5, 5) == pytest.approx(-1.5, abs=1e-12)
 
     def test_outside_workspace_negative(self, empty_env):
-        assert free_space_margin(empty_env, Vec2(12, 5)) < 0
+        assert margin_at(empty_env, 12, 5) < 0
 
     def test_near_obstacle(self, obstacle_env):
         # 1 m from the obstacle face, minus the 0.5 m radius
-        assert free_space_margin(obstacle_env, Vec2(3, 5)) == pytest.approx(0.5, abs=1e-12)
+        assert margin_at(obstacle_env, 3, 5) == pytest.approx(0.5, abs=1e-12)
         # on the obstacle face
-        assert free_space_margin(obstacle_env, Vec2(4, 5)) == pytest.approx(-0.5, abs=1e-12)
+        assert margin_at(obstacle_env, 4, 5) == pytest.approx(-0.5, abs=1e-12)
 
     def test_batch_matches_scalar(self, obstacle_env):
         rng = np.random.default_rng(41)
         pts = rng.uniform(-1, 11, (100, 2))
         batch = margin_points(obstacle_env, pts)
         for (x, y), m in zip(pts, batch):
-            assert m == pytest.approx(free_space_margin(obstacle_env, Vec2(x, y)),
-                                      abs=1e-12)
+            assert m == margin_at(obstacle_env, x, y)
 
 
 class TestSafetyDistance:
@@ -92,32 +94,32 @@ class TestSafetyDistance:
         rng = np.random.default_rng(42)
         for _ in range(50):
             p = Vec2(rng.uniform(0, 10), rng.uniform(0, 10))
-            m = free_space_margin(obstacle_env, p)
+            m = margin_at(obstacle_env, p.x, p.y)
             expected = max(m, 0.0)
             assert safety_distance(obstacle_env, Disk(p, 0.0)) == expected
             point = PredictionSet(np.array([[p.x, p.y]]), 0.0)
             assert safety_distance(obstacle_env, point) == expected
 
     def test_triangle_clear_of_obstacle(self, obstacle_env):
-        tri = Tri(Triangle(Vec2(1, 1), Vec2(2.5, 1), Vec2(1, 2.5)))
+        tri = Tri([[1, 1], [2.5, 1], [1, 2.5]])
         d = safety_distance(obstacle_env, tri)
         # nearest features: workspace walls at distance 1, minus radius
         assert d == pytest.approx(0.5, abs=1e-12)
 
     def test_triangle_crossing_obstacle_is_zero(self, obstacle_env):
-        tri = Tri(Triangle(Vec2(3, 5), Vec2(7, 5), Vec2(5, 8)))
+        tri = Tri([[3, 5], [7, 5], [5, 8]])
         assert safety_distance(obstacle_env, tri) == 0.0
 
     def test_triangle_swallowing_obstacle_is_zero(self, obstacle_env):
         # every vertex has positive margin and every edge passes the obstacle
         # more than the robot radius away, so only the containment probe can
         # return zero
-        tri = Tri(Triangle(Vec2(1.3, 2.85), Vec2(8.7, 2.85), Vec2(5, 9.3)))
-        assert min(free_space_margin(obstacle_env, v) for v in tri.triangle.vertices) > 0.0
+        tri = Tri([[1.3, 2.85], [8.7, 2.85], [5, 9.3]])
+        assert margin_points(obstacle_env, tri.points).min() > 0.0
         assert safety_distance(obstacle_env, tri) == 0.0
 
     def test_degenerate_triangle(self, obstacle_env):
-        tri = Tri(Triangle(Vec2(1, 1), Vec2(2, 1), Vec2(3, 1)))
+        tri = Tri([[1, 1], [2, 1], [3, 1]])
         assert safety_distance(obstacle_env, tri) == pytest.approx(0.5, abs=1e-12)
 
     def test_hull_uses_padding(self, empty_env):
@@ -184,7 +186,7 @@ class TestClearanceNeverOverReported:
             if i % 7 == 0:
                 v[2] = v[0] + rng.random() * (v[1] - v[0])  # collinear
             tri = Triangle(Vec2(*v[0]), Vec2(*v[1]), Vec2(*v[2]))
-            fast = safety_distance(lshape_env, Tri(tri))
+            fast = safety_distance(lshape_env, Tri(v))
             pts = self._triangle_samples(rng, tri)
             sampled = max(0.0, float(margin_points(lshape_env, pts).min()))
             assert fast <= sampled + 1e-12
@@ -340,7 +342,7 @@ class _Reference:
 
 
 def _tri(*xy):
-    return Tri(Triangle(*(Vec2(float(x), float(y)) for x, y in xy)))
+    return Tri(np.array(xy, dtype=float))
 
 
 # half-metre lattice points, so orientations against the axis-aligned walls
@@ -453,6 +455,49 @@ class TestClearancesMatchReference:
                         assert path_clearance(env, path) == ref.path_clearance(path)
 
 
+class TestFilledSetTouches:
+    """Past the margin gate a filled set's edges get the strict-sign crossing
+    test only; each touch that test leaves out must still read 0.0, through
+    the swallowed-vertex probe or a distance at rounding level."""
+
+    @pytest.fixture
+    def touch_env(self):
+        # the obstacle's vertex (0.5, 0.18000000000000002) is exactly on the
+        # line x = 0.5, while its rounded distance to a segment along it is not 0
+        return Environment(square(20, -10, -10),
+                           [Polygon([Vec2(0.5, 0.18000000000000002), Vec2(0.8, 0.1),
+                                     Vec2(0.7, 0.5)])],
+                           robot_radius=0.01)
+
+    def test_edge_through_a_boundary_vertex(self, obstacle_env, touch_env):
+        ref = _Reference(touch_env)
+        for pred in (_tri((0.5, 0), (0.5, 1.8), (-0.5, 0.9)),    # obstacle on the right
+                     _tri((0.5, 0), (-0.5, 0.9), (0.5, 1.8)),    # clockwise
+                     _tri((0.5, 0), (0.5, 1.8), (0.5, 0.9)),     # collinear, no probe
+                     _tri((0.5, -1), (0.5, 1.8), (-0.3, 0.9))):  # vertex mid-edge
+            assert safety_distance(touch_env, pred) == ref.safety_distance(pred) == 0.0
+        # the obstacle corner (4, 4) touches an edge on the line x + y = 8
+        for pred in (_tri((6, 2), (2, 6), (1.5, 1.5)), _tri((2, 6), (6, 2), (1.5, 1.5)),
+                     _tri((6, 2), (2, 6), (4, 4))):
+            assert safety_distance(obstacle_env, pred) == 0.0
+
+    def test_vertex_on_a_boundary_edge(self, obstacle_env, touch_env):
+        # (5, 4) is on the obstacle's bottom face, (7, 5) on its line and off it
+        assert safety_distance(obstacle_env, _tri((5, 4), (3, 2), (7, 2))) == 0.0
+        assert safety_distance(obstacle_env, _tri((5, 4), (7, 2), (3, 2))) == 0.0
+        assert safety_distance(obstacle_env, _tri((5, 4), (5, 1), (5, 2))) == 0.0
+        assert safety_distance(obstacle_env, _tri((7, 4), (8, 2), (9, 3))) > 0.0
+        # a vertex within rounding of the obstacle edge from (0.8, 0.1) to (0.7, 0.5)
+        assert safety_distance(touch_env, _tri((0.75, 0.3), (2, 0), (2, 1))) == 0.0
+
+    def test_swallowed_obstacle(self, obstacle_env):
+        # every vertex and edge clear, in both vertex orders
+        for v in ([(1.3, 2.85), (8.7, 2.85), (5, 9.3)], [(1.3, 2.85), (5, 9.3), (8.7, 2.85)]):
+            pred = _tri(*v)
+            assert margin_points(obstacle_env, pred.points).min() > 0.0
+            assert safety_distance(obstacle_env, pred) == 0.0
+
+
 class TestReferencePath:
     def test_midpoint(self):
         path = ReferencePath([Vec2(0, 0), Vec2(2, 0)])
@@ -542,10 +587,12 @@ class TestPathClearance:
 
     def test_path_through_obstacle_vertex_touches(self):
         # the path meets the vertex exactly; the rounded point-segment
-        # distance there is not zero, the orientation is
-        env = Environment(square(20, -10, -10),
-                          [Polygon([Vec2(0.5, 0.18000000000000002), Vec2(0.3, 0.5),
-                                    Vec2(0.2, 0.1)])],
-                          robot_radius=0.01)
+        # distance there is not zero, the orientation is.  With the obstacle
+        # on the path's left a zero orientation counting as negative makes a
+        # crossing; on its right only the box tests find the touch
+        vertex = Vec2(0.5, 0.18000000000000002)
         path = ReferencePath([Vec2(0.5, 0), Vec2(0.5, 1.8)])
-        assert path_clearance(env, path) == -0.01
+        for others in ([Vec2(0.3, 0.5), Vec2(0.2, 0.1)], [Vec2(0.8, 0.1), Vec2(0.7, 0.5)]):
+            env = Environment(square(20, -10, -10), [Polygon([vertex, *others])],
+                              robot_radius=0.01)
+            assert path_clearance(env, path) == -0.01

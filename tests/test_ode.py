@@ -54,8 +54,9 @@ class TestStableStep:
 
 
 def constant_law(v, w):
-    """Stub control law returning the same input everywhere."""
-    return lambda px, py, th, gx, gy, coeffs: (v, w)
+    """Stub control law with the same inputs everywhere, returning the
+    unicycle derivative."""
+    return lambda px, py, th, gx, gy, coeffs: (v * math.cos(th), v * math.sin(th), w, v)
 
 
 def run(law, step, max_time, goal=Vec2(100.0, 0.0), tol=0.0):
@@ -107,7 +108,7 @@ class TestIntegrate:
     def test_steps_match_rk4_polynomial(self):
         # v = x along heading 0 is x' = x; each step multiplies x by the
         # degree-4 Taylor polynomial of exp(dt)
-        traj = rollout(lambda px, py, th, gx, gy, coeffs: (px, 0.0), (),
+        traj = rollout(lambda px, py, th, gx, gy, coeffs: (px, 0.0, 0.0, px), (),
                        UnicycleState(Vec2(1.0, 0.0), 0.0), Vec2(100.0, 0.0),
                        step=0.1, max_time=1.0, tol=0.0)
         h = 0.1

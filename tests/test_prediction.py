@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headway_sim import properties
 from headway_sim.geom import (
-    Triangle,
     Vec2,
     _point_segment_distance_matrix,
     min_distance_to_segments,
@@ -37,7 +36,7 @@ from headway_sim.properties import (
     check_trajectory_containment,
     sample_trajectory_cases,
 )
-from headway_sim.unicycle import ControllerParams, UnicycleState
+from headway_sim.unicycle import ControllerParams, UnicycleState, headway_frame, headway_point
 
 PARAMS = ControllerParams(headway_coeff=0.5, ref_gain=1.0, goal_tolerance=1e-4)
 ORIGIN = Vec2(0.0, 0.0)
@@ -57,6 +56,10 @@ class TestPredictionTypes:
             PredictionSet(np.zeros((0, 2)), 0.0)
         with pytest.raises(ValueError, match="padding"):
             PredictionSet(np.zeros((1, 2)), -1.0)
+
+    def test_triangle_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="3 vertices"):
+            Tri([[0.0, 0.0], [1.0, 0.0]])
 
 
 class TestCircularPrediction:
@@ -128,6 +131,143 @@ class TestTriangularPrediction:
                 assert prediction_distance(pred, v) <= 1e-9
 
 
+def _heading(th):
+    return Vec2(math.cos(th), math.sin(th))
+
+
+def _vec2_alignment(state, goal):
+    delta = goal - state.position
+    return _heading(state.orientation).dot(delta) / delta.norm()
+
+
+def _vec2_frame(state, goal, params):
+    """The headway frame composed from Vec2 arithmetic, as the prediction
+    sets were built before their float kernels."""
+    p = state.position
+    delta = goal - p
+    eps = params.headway_coeff
+    h = p + (eps * delta.norm()) * _heading(state.orientation)
+    to_goal = goal - h
+    tangent = to_goal * (1.0 / to_goal.norm())
+    if delta.dot(_heading(state.orientation).perp()) >= 0.0:
+        normal = tangent.perp()
+    else:
+        normal = -tangent.perp()
+    projected = goal + tangent * tangent.dot(p - goal)
+    proj_dist = (projected - goal).norm()
+    scale = eps / math.sqrt(1.0 - eps * eps)
+    return h, tangent, normal, projected, projected + (scale * proj_dist) * normal
+
+
+def _vec2_disk_radius(state, goal, params):
+    r = (state.position - goal).norm()
+    if r == 0.0 or _vec2_alignment(state, goal) >= params.headway_coeff:
+        return r
+    return (_vec2_frame(state, goal, params)[4] - goal).norm()
+
+
+def _vec2_triangle(state, goal, params, aligned):
+    """Both branches' vertices as Vec2 arithmetic composed them."""
+    p = state.position
+    eps = params.headway_coeff
+    if aligned:
+        d = eps * (goal - p).norm()
+        h = p + (eps * (p - goal).norm()) * _heading(state.orientation)
+        a = _vec2_alignment(state, goal)
+        stretched = h + ((1.0 - a) / (1.0 - eps) * d) * _heading(state.orientation)
+        return goal, p, stretched
+    _, tangent, _, proj, _ = _vec2_frame(state, goal, params)
+    offset = (eps / math.sqrt(1.0 - eps * eps) * (proj - goal).norm()) * tangent.perp()
+    return goal, proj + offset, proj - offset
+
+
+def _rows(vertices):
+    return np.array([[v.x, v.y] for v in vertices])
+
+
+def _outcome(build):
+    """What ``build`` returns, or ValueError when the construction refuses."""
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+def _same(a, b):
+    return a is b if a is ValueError or b is ValueError else np.array_equal(a, b)
+
+
+_coord = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+class TestFloatBuilders:
+    """The circle, the triangle and the headway frame built from floats give
+    the floats that Vec2 arithmetic gave, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=_coord, y=_coord, gx=_coord, gy=_coord, th=st.floats(-20.0, 20.0),
+           eps=st.floats(0.05, 0.95), case=st.sampled_from(
+               ["free", "at goal", "at the boundary", "just past the boundary"]))
+    # a subnormal goal distance: the tangent has no inverse, and both refuse
+    @example(x=0.0, y=0.0, gx=0.0, gy=2.225073858507e-311, th=1.0, eps=0.5, case="free")
+    def test_match_vec2_construction(self, x, y, gx, gy, th, eps, case):
+        if case == "at goal":
+            gx, gy = x, y
+        state, goal = UnicycleState(Vec2(x, y), th), Vec2(gx, gy)
+        if case in ("at the boundary", "just past the boundary"):
+            # alignment exactly at eps takes the forward-motion branch, the
+            # next float above it the turning branch
+            a = goal_alignment(state, goal)
+            if case == "just past the boundary":
+                a = math.nextafter(a, 2.0)
+            if 0.0 < a < 1.0:
+                eps = a
+        params = ControllerParams(headway_coeff=eps)
+        r = (state.position - goal).norm()
+
+        disk = _outcome(lambda: circular_prediction(state, goal, params))
+        assert _same(disk if disk is ValueError else disk.padding,
+                     _outcome(lambda: _vec2_disk_radius(state, goal, params)))
+        if disk is not ValueError:
+            assert np.array_equal(disk.points, [[gx, gy]])
+
+        tri = _outcome(lambda: triangular_prediction(state, goal, params).points)
+        frame = _outcome(lambda: headway_frame(state, goal, params))
+        if r == 0.0:
+            assert np.array_equal(tri, [[gx, gy]] * 3)
+            assert frame.projected == frame.extended == goal
+            return
+        aligned = _vec2_alignment(state, goal) >= eps
+        assert goal_alignment(state, goal) == _vec2_alignment(state, goal)
+        assert _same(tri, _outcome(lambda: _rows(_vec2_triangle(state, goal, params, aligned))))
+        branches = _outcome(lambda: properties._branch_rows(state, goal, params))
+        turning = _outcome(lambda: _rows(_vec2_triangle(state, goal, params, False)))
+        if branches is ValueError:
+            assert turning is ValueError
+        else:
+            assert np.array_equal(branches[0], _rows(_vec2_triangle(state, goal, params, True)))
+            assert _same(branches[1], turning)
+        reference = _outcome(lambda: _vec2_frame(state, goal, params))
+        if frame is ValueError:
+            assert reference is ValueError
+        else:
+            assert (frame.headway_point, frame.tangent, frame.normal, frame.projected,
+                    frame.extended) == reference
+            assert frame.headway_point == headway_point(state, goal, params)
+
+    def test_alignment_at_eps_takes_the_forward_branch(self):
+        state, goal = UnicycleState(Vec2(0.0, 0.0), 0.3), Vec2(2.0, 1.0)
+        a = goal_alignment(state, goal)
+        branches = {}
+        for eps, aligned in ((a, True), (math.nextafter(a, 2.0), False)):
+            params = ControllerParams(headway_coeff=eps)
+            branches[aligned] = _rows(_vec2_triangle(state, goal, params, aligned))
+            assert np.array_equal(triangular_prediction(state, goal, params).points,
+                                  branches[aligned])
+        # the branches agree to rounding here, but not bit for bit
+        assert not np.array_equal(branches[True], branches[False])
+
+
 class TestForwardSimPrediction:
     def test_at_goal_single_point(self):
         hull = forward_sim_prediction(state(0, 0, 0.5), ORIGIN, PARAMS, SimConfig())
@@ -172,7 +312,7 @@ class TestPredictionDistance:
         assert prediction_distance(Disk(ORIGIN, 1.0), Vec2(3, 0)) == 2
 
     def test_triangle_interior(self):
-        tri = Tri(Triangle(ORIGIN, Vec2(1, 0), Vec2(0, 1)))
+        tri = Tri([[0, 0], [1, 0], [0, 1]])
         assert prediction_distance(tri, Vec2(0.2, 0.2)) == 0
 
     def test_hull_with_padding(self):
@@ -184,7 +324,7 @@ class TestPredictionDistance:
         assert prediction_distance(pair, Vec2(1, 0)) == 0.5
 
     def test_degenerate_triangle_uses_segment_distance(self):
-        tri = Tri(Triangle(ORIGIN, Vec2(2, 0), Vec2(1, 0)))
+        tri = Tri([[0, 0], [2, 0], [1, 0]])
         assert prediction_distance(tri, Vec2(1, 0.5)) == pytest.approx(0.5, abs=1e-12)
         assert prediction_distance(tri, Vec2(1.5, 0)) == 0
 
@@ -194,7 +334,7 @@ class TestPredictionGoalRadius:
         assert prediction_goal_radius(Disk(ORIGIN, 0.7), ORIGIN) == 0.7
 
     def test_triangle_max_vertex(self):
-        tri = Tri(Triangle(ORIGIN, Vec2(1, 0), Vec2(0, 2)))
+        tri = Tri([[0, 0], [1, 0], [0, 2]])
         assert prediction_goal_radius(tri, ORIGIN) == 2
 
     def test_point_set(self):

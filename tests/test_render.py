@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from headway_sim.environment import Environment, ReferencePath
-from headway_sim.geom import Polygon, Triangle, Vec2
+from headway_sim.geom import Polygon, Vec2
 from headway_sim.prediction import Disk, PredictionSet, Tri
 from headway_sim.render import RenderError, RenderSpec, render_svg
 
@@ -36,7 +36,7 @@ class TestRenderSvg:
         assert 'class="trajectory traj0"' in svg
 
     def test_triangle_snapshot_renders_polygon_element(self, env, path):
-        pred = Tri(Triangle(Vec2(1, 1), Vec2(2, 1), Vec2(1, 2)))
+        pred = Tri([[1, 1], [2, 1], [1, 2]])
         svg = render_svg(env, path, [traj()], [pred])
         assert '<polygon class="prediction"' in svg
 

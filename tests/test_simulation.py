@@ -11,7 +11,7 @@ from headway_sim.ode import SimConfig
 from headway_sim.scenario import load_scenario
 from headway_sim.simulation import (
     CSV_COLUMNS,
-    compare_methods,
+    METHODS,
     governor_field,
     read_trajectory_csv,
     run_episode,
@@ -196,9 +196,9 @@ class TestCompareMethods:
         env, path, params, _ = simple_setup
         config = SimConfig(step=0.01, max_time=40.0, goal_tolerance=2e-4,
                            prediction_step=0.02)
-        results = compare_methods(env, path, params, config)
-        times = [r.travel_time for r in results.values()]
-        assert all(r.converged and not r.collision_flag for r in results.values())
+        results = [run_episode(env, path, params, method, config) for method in METHODS]
+        times = [r.travel_time for r in results]
+        assert all(r.converged and not r.collision_flag for r in results)
         assert (max(times) - min(times)) / min(times) < 0.15
 
 

@@ -28,13 +28,15 @@ def state(x, y, th):
 
 
 def adaptive(st, goal, params):
-    return _adaptive_control(st.position.x, st.position.y, st.orientation, goal.x, goal.y,
-                             (params.headway_coeff, params.ref_gain, params.goal_tolerance))
+    *_, w, v = _adaptive_control(st.position.x, st.position.y, st.orientation, goal.x, goal.y,
+                                 (params.headway_coeff, params.ref_gain, params.goal_tolerance))
+    return v, w
 
 
 def fixed(st, goal, gain, distance):
-    return _fixed_control(st.position.x, st.position.y, st.orientation, goal.x, goal.y,
-                          (gain, distance))
+    *_, w, v = _fixed_control(st.position.x, st.position.y, st.orientation, goal.x, goal.y,
+                              (gain, distance))
+    return v, w
 
 
 class TestWrapAngle:
@@ -198,13 +200,16 @@ class TestHeadwayFrame:
 
 
 class TestUnicycleDerivative:
-    """The rollout integrates x' = v cos(theta), y' = v sin(theta),
-    theta' = w; constant inputs have closed-form solutions."""
+    """The rollout integrates a law's derivative x' = v cos(theta),
+    y' = v sin(theta), theta' = w; constant inputs have closed-form
+    solutions."""
 
     @staticmethod
     def final(st, v, w, horizon=1.0):
-        traj = rollout(lambda *_: (v, w), (), st, Vec2(100.0, 100.0), step=0.01,
-                       max_time=horizon, tol=0.0)
+        def law(px, py, th, *_):
+            return v * math.cos(th), v * math.sin(th), w, v
+
+        traj = rollout(law, (), st, Vec2(100.0, 100.0), step=0.01, max_time=horizon, tol=0.0)
         return traj.states[-1]
 
     def test_forward_motion(self):
