@@ -5,17 +5,13 @@ __version__ = "0.1.0"
 
 from .geom import (
     Polygon,
-    Segment,
     Triangle,
     Vec2,
-    point_segment_distance,
     triangle_contains,
 )
 from .unicycle import (
     ControllerParams,
-    HeadwayFrame,
     UnicycleState,
-    headway_frame,
     headway_point,
     wrap_angle,
 )
@@ -26,7 +22,6 @@ from .prediction import (
     Tri,
     circular_prediction,
     forward_sim_prediction,
-    goal_alignment,
     prediction_distance,
     prediction_goal_radius,
     triangular_bound,

@@ -3,7 +3,8 @@
 Exit codes are part of the interface and stay stable:
 
     0  success
-    1  schema error (unparseable or invalid scenario, bad render input)
+    1  schema error (unparseable or invalid scenario, bad render input or
+       option value, unreadable input or unwritable output path)
     2  clearance error (path touches the free-space boundary)
     3  non-convergence (time horizon exhausted)
     4  collision (recorded margin went negative)
@@ -12,6 +13,7 @@ Exit codes are part of the interface and stay stable:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -197,6 +199,8 @@ def cmd_render(args) -> int:
     method = args.method or scenario.method
     trajectories = [read_trajectory_csv(f) for f in args.csv]
     snapshots = [float(t) for t in args.snapshots.split(",") if t.strip()]
+    if not all(map(math.isfinite, snapshots)):
+        raise RenderError(f"snapshot times must be finite, got {args.snapshots!r}")
     predictions = []
     for t_snap in snapshots:
         base = trajectories[0]
@@ -218,6 +222,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     results = run_all(args.seed, trajectories=args.trajectories, samples=args.samples)
     for res in results:
         print(res.line())
@@ -260,6 +266,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
 

@@ -1,12 +1,13 @@
 """2-D geometric primitives used throughout the simulator.
 
-Scalar value types (Vec2, Segment, Triangle, Polygon) validate their inputs
-at construction and are safe to share across threads.  The batch kernels
-operate on ``(N, 2)`` float arrays for queries along trajectories and
-against boundary vertices, where per-call Python overhead would dominate.
-Each concept has one: ``min_distance_to_segments`` (point-segment distance),
-``segments_meet`` (closed segment intersection, which also validates
-polygons), ``triangle_contains`` and ``triangle_distance``.
+The value types ``Vec2`` and ``Polygon`` validate their inputs at
+construction; ``Triangle`` names the three vertices ``Tri.triangle`` returns.
+The batch kernels operate on ``(N, 2)`` float arrays for queries along
+trajectories and against boundary vertices, where per-call Python overhead
+would dominate.  Each concept has one: ``_grid_sq_distance`` (point-segment
+distance, batched by ``min_distance_to_segments``), ``segments_meet``
+(closed segment intersection, which also validates polygons),
+``triangle_contains`` and ``triangle_distance``.
 
 Both the distance and the intersection test start from one displacement
 grid ``w = p - a`` (2, N, M), every point minus every segment start with x
@@ -28,10 +29,8 @@ import numpy as np
 
 __all__ = [
     "Vec2",
-    "Segment",
     "Triangle",
     "Polygon",
-    "point_segment_distance",
     "segments_meet",
     "triangle_contains",
     "triangle_distance",
@@ -80,14 +79,6 @@ class Vec2:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Closed line segment; ``a == b`` degenerates to a point."""
-
-    a: Vec2
-    b: Vec2
-
-
-@dataclass(frozen=True)
 class Triangle:
     """Three vertices; may be degenerate (collinear), callers must cope."""
 
@@ -98,28 +89,6 @@ class Triangle:
     @property
     def vertices(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.v0, self.v1, self.v2)
-
-    def vertex_array(self) -> np.ndarray:
-        return np.array([[v.x, v.y] for v in self.vertices], dtype=float)
-
-
-def point_segment_distance(z: Vec2, s: Segment) -> float:
-    """Euclidean distance from ``z`` to the closed segment ``s``."""
-    return _point_segment_distance(z.x, z.y, s.a.x, s.a.y, s.b.x, s.b.y)
-
-
-def _point_segment_distance(zx: float, zy: float, ax: float, ay: float,
-                            bx: float, by: float) -> float:
-    dx, dy = bx - ax, by - ay
-    len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        return math.hypot(zx - ax, zy - ay)
-    t = ((zx - ax) * dx + (zy - ay) * dy) / len2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(zx - (ax + t * dx), zy - (ay + t * dy))
 
 
 class Polygon:

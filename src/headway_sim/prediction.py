@@ -8,7 +8,7 @@ three points.
 * ``circular_prediction``: the goal padded by the current goal distance
   when the robot heading is aligned with the goal (alignment at least the
   headway coefficient) and by the extended-position distance otherwise.
-* ``triangular_bound``: the tight triangle from the alignment analysis;
+* ``triangular_bound``: the tight filled triangle of the alignment analysis;
   it changes discontinuously for goals almost exactly behind the robot.
 * ``triangular_prediction``: a slightly enlarged filled triangle whose two
   branch formulas agree exactly on the alignment boundary, restoring a
@@ -18,9 +18,9 @@ three points.
   baseline.
 
 All sets shrink to the goal point as the robot converges, which is what the
-path governor needs to keep making progress.  The circle and the triangle
-are built from floats ``(x, y, cos theta, sin theta, gx, gy)`` on the
-frame kernel ``unicycle._turning_frame``, bit for bit as ``Vec2`` built them.
+path governor needs to keep making progress.  The circle and both triangles
+are built from floats ``(x, y, cos theta, sin theta, gx, gy)`` on the one
+headway frame ``unicycle._turning_frame``, bit for bit as ``Vec2`` built them.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ import numpy as np
 
 from .geom import Triangle, Vec2, triangle_distance
 from .ode import SimConfig, simulate_to_goal
-from .unicycle import ControllerParams, UnicycleState, _turning_frame, headway_frame, headway_point
+from .unicycle import ControllerParams, UnicycleState, _turning_frame
 
 __all__ = [
     "PredictionSet",
     "Disk",
     "Tri",
-    "goal_alignment",
     "circular_prediction",
     "triangular_bound",
     "triangular_prediction",
@@ -114,17 +113,6 @@ class Tri(PredictionSet):
         return Triangle(*(Vec2(x, y) for x, y in self.points.tolist()))
 
 
-def goal_alignment(state: UnicycleState, goal: Vec2) -> float:
-    """Inner product of the heading with the unit vector toward the goal.
-
-    Returns 1.0 at the goal itself, where the bearing is undefined and
-    every prediction set degenerates to the goal point anyway.
-    """
-    dx, dy, th = goal.x - state.position.x, goal.y - state.position.y, state.orientation
-    r = math.hypot(dx, dy)
-    return 1.0 if r == 0.0 else (math.cos(th) * dx + math.sin(th) * dy) / r
-
-
 def _disk_radius(x: float, y: float, c: float, s: float, gx: float, gy: float,
                  eps: float) -> float:
     """Radius of the circular prediction for a robot at ``(x, y)`` with
@@ -133,8 +121,7 @@ def _disk_radius(x: float, y: float, c: float, s: float, gx: float, gy: float,
     r = math.hypot(dx, dy)
     if r == 0.0 or (c * dx + s * dy) / r >= eps:
         return r
-    _, _, tx, ty, qx, qy, k, ccw = _turning_frame(x, y, c, s, gx, gy, eps, r)
-    nx, ny = (-ty, tx) if ccw else (ty, -tx)
+    _, _, _, _, nx, ny, qx, qy, k = _turning_frame(x, y, c, s, gx, gy, eps, r)
     return math.hypot(qx + nx * k - gx, qy + ny * k - gy)
 
 
@@ -156,7 +143,7 @@ def _triangle_rows(x: float, y: float, c: float, s: float, gx: float, gy: float,
         d = eps * r
         m = (1.0 - a) / (1.0 - eps) * d
         return [[gx, gy], [x, y], [x + c * d + c * m, y + s * d + s * m]]
-    _, _, tx, ty, qx, qy, k, _ = _turning_frame(x, y, c, s, gx, gy, eps, r)
+    _, _, tx, ty, _, _, qx, qy, k = _turning_frame(x, y, c, s, gx, gy, eps, r)
     return [[gx, gy], [qx + -ty * k, qy + tx * k], [qx + ty * k, qy + -tx * k]]
 
 
@@ -168,8 +155,7 @@ def circular_prediction(state: UnicycleState, goal: Vec2,
                                    params.headway_coeff))
 
 
-def triangular_bound(state: UnicycleState, goal: Vec2,
-                     params: ControllerParams) -> Triangle:
+def triangular_bound(state: UnicycleState, goal: Vec2, params: ControllerParams) -> Tri:
     """Tight triangular containment region of the future position trajectory.
 
     Aligned starts use the goal / position / headway-point triangle; others
@@ -177,13 +163,17 @@ def triangular_bound(state: UnicycleState, goal: Vec2,
     triangles are legitimate results, e.g. when the robot faces the goal
     head-on.
     """
-    p = state.position
-    if (p - goal).norm() == 0.0:
-        return Triangle(goal, goal, goal)
-    if goal_alignment(state, goal) >= params.headway_coeff:
-        return Triangle(goal, p, headway_point(state, goal, params))
-    frame = headway_frame(state, goal, params)
-    return Triangle(goal, frame.projected, frame.extended)
+    p, th, gx, gy = state.position, state.orientation, goal.x, goal.y
+    x, y, c, s, eps = p.x, p.y, math.cos(th), math.sin(th), params.headway_coeff
+    dx, dy = gx - x, gy - y
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        return Tri([[gx, gy]] * 3)
+    if (c * dx + s * dy) / r >= eps:
+        d = eps * r
+        return Tri([[gx, gy], [x, y], [x + c * d, y + s * d]])
+    _, _, _, _, nx, ny, qx, qy, k = _turning_frame(x, y, c, s, gx, gy, eps, r)
+    return Tri([[gx, gy], [qx, qy], [qx + nx * k, qy + ny * k]])
 
 
 def triangular_prediction(state: UnicycleState, goal: Vec2,

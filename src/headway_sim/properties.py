@@ -16,10 +16,10 @@ import numpy as np
 from .environment import Environment, ReferencePath
 from .geom import (
     Polygon,
-    Segment,
     Vec2,
+    _grid_sq_distance,
+    _safe_len2,
     min_distance_to_segments,
-    point_segment_distance,
     triangle_distance,
 )
 from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
@@ -39,7 +39,7 @@ from .unicycle import (
     ControllerParams,
     UnicycleState,
     _fixed_control,
-    headway_frame,
+    _turning_frame,
     headway_point,
     wrap_angle,
 )
@@ -168,6 +168,18 @@ def _series(case: TrajectoryCase) -> dict[str, np.ndarray]:
 # headway frame properties
 
 
+def _bracket(state: UnicycleState, goal: Vec2, params: ControllerParams) -> tuple:
+    """``(r, qx, qy, ex, ey)``: the goal distance and the projected and
+    extended positions of ``_turning_frame``, all the goal when ``r = 0``."""
+    p, th, gx, gy = state.position, state.orientation, goal.x, goal.y
+    r = math.hypot(gx - p.x, gy - p.y)
+    if r == 0.0:
+        return r, gx, gy, gx, gy
+    _, _, _, _, nx, ny, qx, qy, k = _turning_frame(p.x, p.y, math.cos(th), math.sin(th),
+                                                   gx, gy, params.headway_coeff, r)
+    return r, qx, qy, qx + nx * k, qy + ny * k
+
+
 def check_goal_point_equivalence(seed: int = 0, n: int = 10_000) -> CheckResult:
     """Headway point at goal exactly when the robot is at the goal."""
     rng = np.random.default_rng(seed)
@@ -202,14 +214,16 @@ def check_position_bracket(seed: int = 0, n: int = 10_000,
                            tol: float = 1e-9) -> CheckResult:
     """Robot position lies on the projected-extended segment."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
+    # per sample: the position, the projected one and extended - projected
+    rows = np.empty((n, 6))
+    for i in range(n):
         params = _sample_params(rng)
         state = _sample_pose(rng)
         goal = Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
-        frame = headway_frame(state, goal, params)
-        d = point_segment_distance(state.position, Segment(frame.projected, frame.extended))
-        worst = max(worst, d)
+        _, qx, qy, ex, ey = _bracket(state, goal, params)
+        rows[i] = state.position.x, state.position.y, qx, qy, ex - qx, ey - qy
+    p, a, d = rows.T.reshape(3, 2, n)
+    worst = math.sqrt(_grid_sq_distance(p - a, p, a, d, _safe_len2(d)).max(initial=0.0))
     return CheckResult("position-bracket", worst <= tol,
                        f"{n} samples, max off-segment distance {worst:.3e}")
 
@@ -225,12 +239,11 @@ def check_distance_order(seed: int = 0, n: int = 10_000,
         params = _sample_params(rng)
         state = _sample_pose(rng)
         goal = Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
-        r = (state.position - goal).norm()
+        r, qx, qy, ex, ey = _bracket(state, goal, params)
         if r == 0.0:
             continue
-        frame = headway_frame(state, goal, params)
-        dp = (frame.projected - goal).norm()
-        de = (frame.extended - goal).norm()
+        dp = math.hypot(qx - goal.x, qy - goal.y)
+        de = math.hypot(ex - goal.x, ey - goal.y)
         scale = max(1.0, de)
         worst_order = max(worst_order, (dp - r) / scale, (r - de) / scale)
         eps = params.headway_coeff
@@ -390,7 +403,7 @@ def _containment_violations(cases: list[TrajectoryCase]) -> dict[str, float]:
         disk = circular_prediction(case.state, goal, case.params)
         dists = np.hypot(pts[:, 0] - goal.x, pts[:, 1] - goal.y)
         worst["circle"] = max(worst["circle"], float(dists.max()) - disk.padding)
-        bound = triangular_bound(case.state, goal, case.params).vertex_array()
+        bound = triangular_bound(case.state, goal, case.params).points
         tri = triangular_prediction(case.state, goal, case.params).points
         worst["triangle-bound"] = max(worst["triangle-bound"],
                                       float(triangle_distance(bound, pts).max()))
@@ -523,10 +536,9 @@ def check_distance_lipschitz(seed: int = 0, n: int = 2000,
         da = prediction_distance(Tri(va), z)
         dtn = prediction_distance(Tri(vt), z)
         worst_jump = max(worst_jump, abs(da - dtn))
-        r = (state.position - goal).norm()
+        r, _, _, ex, ey = _bracket(state, goal, params)
         aligned_disk = Disk(goal, r)
-        frame_ext = headway_frame(state, goal, params).extended
-        turning_disk = Disk(goal, (frame_ext - goal).norm())
+        turning_disk = Disk(goal, math.hypot(ex - goal.x, ey - goal.y))
         worst_jump = max(worst_jump,
                          abs(prediction_distance(aligned_disk, z)
                              - prediction_distance(turning_disk, z)))

@@ -22,6 +22,9 @@ The adaptive controller stops (zero input) inside a small goal ball to
 resolve the indeterminacy of the bearing at the goal point itself.  The
 fixed controller has no such ball: its equilibrium lies one headway
 distance from the goal, and at the goal it drives the robot backward.
+
+The one headway frame is the float kernel ``_turning_frame``; the circle
+and triangle prediction sets and the property checks all read it.
 """
 
 from __future__ import annotations
@@ -34,14 +37,11 @@ from .geom import Vec2
 __all__ = [
     "UnicycleState",
     "ControllerParams",
-    "HeadwayFrame",
     "wrap_angle",
     "headway_point",
-    "headway_frame",
 ]
 
 _TAU = 2.0 * math.pi
-_ZERO = Vec2(0.0, 0.0)
 
 
 def wrap_angle(theta: float) -> float:
@@ -86,24 +86,6 @@ class ControllerParams:
             raise ValueError(f"ref_gain must be positive, got {self.ref_gain}")
         if not (self.goal_tolerance >= 0.0 and math.isfinite(self.goal_tolerance)):
             raise ValueError(f"goal_tolerance must be >= 0, got {self.goal_tolerance}")
-
-
-@dataclass(frozen=True)
-class HeadwayFrame:
-    """Geometric frame of the headway-point motion toward a goal.
-
-    tangent: unit direction of headway-point travel (zero vector at the goal).
-    normal: unit normal of that travel, signed toward the robot's offset side.
-    projected: robot position projected onto the headway travel line.
-    extended: projected position pushed along the normal so that the segment
-        [projected, extended] brackets the true robot position.
-    """
-
-    headway_point: Vec2
-    tangent: Vec2
-    normal: Vec2
-    projected: Vec2
-    extended: Vec2
 
 
 def headway_point(state: UnicycleState, goal: Vec2, params: ControllerParams) -> Vec2:
@@ -151,12 +133,13 @@ def _fixed_control(px: float, py: float, theta: float, gx: float, gy: float,
 
 def _turning_frame(x: float, y: float, c: float, s: float, gx: float, gy: float,
                    eps: float, r: float) -> tuple:
-    """Float kernel of ``headway_frame`` for a robot at ``(x, y)`` with
-    heading ``(c, s)`` and goal distance ``r > 0``: the headway point, the
-    unit tangent ``t``, the projected position, the extended position's
-    offset along the normal, and whether the normal is ``(-ty, tx)`` (else
-    ``(ty, -tx)``).  Operations follow the order of the ``Vec2`` expressions
-    they replaced, so every caller gets the same floats."""
+    """Headway frame ``(hx, hy, tx, ty, nx, ny, qx, qy, k)`` of a robot at
+    ``(x, y)`` with heading ``(c, s)`` and goal distance ``r > 0``: the
+    headway point, the unit tangent of its travel, the unit normal signed
+    toward the robot (a tie picks ``(-ty, tx)``), the position projected on
+    the travel line, and the length ``k`` that makes ``[q, q + k n]``
+    bracket the position.  Operations follow the order of the ``Vec2``
+    expressions the frame was first written in, bit for bit."""
     kh = eps * r
     hx, hy = x + c * kh, y + s * kh
     to_x, to_y = gx - hx, gy - hy
@@ -168,23 +151,5 @@ def _turning_frame(x: float, y: float, c: float, s: float, gx: float, gy: float,
     along = tx * (x - gx) + ty * (y - gy)
     qx, qy = gx + tx * along, gy + ty * along
     k = eps / math.sqrt(1.0 - eps * eps) * math.hypot(qx - gx, qy - gy)
-    return hx, hy, tx, ty, qx, qy, k, (gx - x) * -s + (gy - y) * c >= 0.0
-
-
-def headway_frame(state: UnicycleState, goal: Vec2, params: ControllerParams) -> HeadwayFrame:
-    """Tangent/normal frame of the headway motion plus the projected and
-    extended robot positions that bracket the true position.
-
-    At the goal every field collapses to the goal point with zero tangent
-    and normal.  The normal's sign tie (robot exactly on the travel line)
-    resolves to the counterclockwise quarter-turn of the tangent.
-    """
-    x, y, th = state.position.x, state.position.y, state.orientation
-    r = math.hypot(goal.x - x, goal.y - y)
-    if r == 0.0:
-        return HeadwayFrame(goal, _ZERO, _ZERO, goal, goal)
-    hx, hy, tx, ty, qx, qy, k, ccw = _turning_frame(
-        x, y, math.cos(th), math.sin(th), goal.x, goal.y, params.headway_coeff, r)
-    nx, ny = (-ty, tx) if ccw else (ty, -tx)
-    return HeadwayFrame(Vec2(hx, hy), Vec2(tx, ty), Vec2(nx, ny), Vec2(qx, qy),
-                        Vec2(qx + nx * k, qy + ny * k))
+    nx, ny = (-ty, tx) if (gx - x) * -s + (gy - y) * c >= 0.0 else (ty, -tx)
+    return hx, hy, tx, ty, nx, ny, qx, qy, k

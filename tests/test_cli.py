@@ -106,6 +106,15 @@ class TestRun:
         assert summary["converged"] is True
         assert summary["collision"] is False
 
+    def test_output_path_that_is_a_file_refused(self, corridor, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["run", "--scenario", str(corridor), "--out", str(taken)])
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert err.count("\n") == 1
+
     def test_nonconvergence_exit(self, corridor, tmp_path):
         code = main(["run", "--scenario", str(corridor), "--out", str(tmp_path / "o"),
                      "--max-time", "0.5"])
@@ -303,7 +312,38 @@ class TestRender:
         assert code == EXIT_SCHEMA
 
 
+    def test_missing_csv_refused(self, corridor, tmp_path):
+        missing = tmp_path / "missing.csv"
+        done = _cli_subprocess("render", "--scenario", str(corridor), "--csv", str(missing),
+                               "--out", str(tmp_path / "fig.svg"))
+        assert done.returncode == EXIT_SCHEMA
+        assert done.stderr.startswith("error: ") and str(missing) in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("when", ["nan", "1.0,inf", "2,-inf"])
+    def test_non_finite_snapshot_time_refused(self, when, corridor, tmp_path, capsys):
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("t,s,x,y,theta,v,omega,delta_F,pred_radius,margin\n"
+                           "0,0,0.5,1.2,0,0,0,0,0,0\n")
+        svg = tmp_path / "fig.svg"
+        code = main(["render", "--scenario", str(corridor), "--csv", str(one_row),
+                     "--out", str(svg), "--snapshots", when])
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("render error: snapshot times must be finite")
+        assert err.count("\n") == 1
+        assert not svg.exists()
+
+
 class TestCheck:
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_refused(self, samples, capsys):
+        code = main(["check", "--samples", samples])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+
     def test_quick_suite_passes(self, capsys):
         code = main(["check", "--seed", "5", "--trajectories", "8",
                      "--samples", "400"])

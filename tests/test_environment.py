@@ -1,7 +1,12 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +17,15 @@ from headway_sim.environment import (
     path_clearance,
     safety_distance,
 )
-from headway_sim.geom import Polygon, Triangle, Vec2
+from headway_sim.geom import Polygon, Vec2
 from headway_sim.ode import SimConfig
 from headway_sim.prediction import Disk, PredictionSet, Tri
+from headway_sim.scenario import scenario_from_dict
 from headway_sim.simulation import METHODS, prediction_set
 from headway_sim.unicycle import ControllerParams, UnicycleState
 from test_geom import _einsum_distance_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def square(side, x0=0.0, y0=0.0):
@@ -164,8 +172,7 @@ class TestClearanceNeverOverReported:
         return _lshape(1.0)[0]
 
     @staticmethod
-    def _triangle_samples(rng, tri):
-        v = tri.vertex_array()
+    def _triangle_samples(rng, v):
         r1 = rng.random((200, 1))
         r2 = rng.random((200, 1))
         flip = (r1 + r2) > 1
@@ -185,9 +192,8 @@ class TestClearanceNeverOverReported:
             v = c + rng.uniform(-2.5, 2.5, (3, 2))
             if i % 7 == 0:
                 v[2] = v[0] + rng.random() * (v[1] - v[0])  # collinear
-            tri = Triangle(Vec2(*v[0]), Vec2(*v[1]), Vec2(*v[2]))
             fast = safety_distance(lshape_env, Tri(v))
-            pts = self._triangle_samples(rng, tri)
+            pts = self._triangle_samples(rng, v)
             sampled = max(0.0, float(margin_points(lshape_env, pts).min()))
             assert fast <= sampled + 1e-12
             # no gross conservatism either, up to the sampling density
@@ -596,3 +602,50 @@ class TestPathClearance:
             env = Environment(square(20, -10, -10), [Polygon([vertex, *others])],
                               robot_radius=0.01)
             assert path_clearance(env, path) == -0.01
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def oracle_scenes():
+    """Each scene as the simulator's Environment and as the independent
+    geometry oracle of the benchmark, ``bench/oracle.Scene``."""
+    oracle = _load_bench("oracle")
+    with mock.patch.dict(sys.modules, {"oracle": oracle}):  # scenes.py imports it
+        scenes = _load_bench("scenes")
+    docs = {"office": yaml.safe_load((ROOT / "scenarios" / "office.yaml").read_text()),
+            "cluttered": scenes.cluttered_scene(1)}
+    return {name: (scenario_from_dict(doc).environment,
+                   oracle.Scene(doc["workspace"], doc.get("obstacles") or [],
+                                doc["robot_radius"]))
+            for name, doc in docs.items()}
+
+
+_unit = st.floats(0.0, 1.0)
+_offset = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+class TestAgreesWithOracle:
+    """Set and point clearances against the oracle's exact ones.  The sets
+    are at most a few robot radii across, so many of them are clear."""
+
+    @pytest.mark.parametrize("name", ["office", "cluttered"])
+    @settings(max_examples=150, deadline=None)
+    @given(at=st.tuples(_unit, _unit), size=st.floats(0.0, 0.6),
+           offsets=st.tuples(_offset, _offset, _offset),
+           batch=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=20))
+    def test_set_and_point_clearances(self, oracle_scenes, name, at, size, offsets, batch):
+        env, truth = oracle_scenes[name]
+        lo, hi = truth.workspace.min(axis=0), truth.workspace.max(axis=0)
+        c = lo + np.array(at) * (hi - lo)
+        assert abs(safety_distance(env, Disk(Vec2(*c), size))
+                   - truth.disk_clearance(c, size)) <= 1e-9
+        v = c + size * np.array(offsets)
+        assert abs(safety_distance(env, Tri(v)) - truth.triangle_clearance(*v)) <= 1e-9
+        pts = lo + np.array(batch) * (hi - lo)
+        assert np.abs(margin_points(env, pts) - truth.margins(pts)).max() <= 1e-9

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from headway_sim import geom
 from headway_sim.geom import (
     Polygon,
-    Segment,
-    Triangle,
     Vec2,
     min_distance_to_segments,
-    point_segment_distance,
     segments_meet,
     triangle_contains,
 )
 
 
-def S(ax, ay, bx, by):
-    return Segment(Vec2(ax, ay), Vec2(bx, by))
+def point_segment_distance(z, a, b):
+    """Distance from the point ``z`` to the closed segment ``a``-``b``."""
+    return float(min_distance_to_segments(np.array([z], dtype=float),
+                                          np.array([a], dtype=float),
+                                          np.array([b], dtype=float))[0])
 
 
 def unit_square():
@@ -56,32 +56,37 @@ class TestVec2:
 
 class TestPointSegmentDistance:
     def test_perpendicular_drop(self):
-        assert point_segment_distance(Vec2(0, 1), S(0, 0, 1, 0)) == 1
+        assert point_segment_distance((0, 1), (0, 0), (1, 0)) == 1
 
     def test_beyond_endpoint(self):
-        assert point_segment_distance(Vec2(2, 0), S(0, 0, 1, 0)) == 1
+        assert point_segment_distance((2, 0), (0, 0), (1, 0)) == 1
 
     def test_on_segment(self):
-        assert point_segment_distance(Vec2(0.5, 0), S(0, 0, 1, 0)) == 0
+        assert point_segment_distance((0.5, 0), (0, 0), (1, 0)) == 0
 
     def test_degenerate_segment(self):
-        assert point_segment_distance(Vec2(3, 4), S(0, 0, 0, 0)) == 5
+        assert point_segment_distance((3, 4), (0, 0), (0, 0)) == 5
 
 
-def _barycentric_contains(t: Triangle, p: Vec2) -> bool:
+def T(*vertices):
+    return np.array(vertices, dtype=float)
+
+
+def _barycentric_contains(t, p: Vec2) -> bool:
     # brute-force oracle via barycentric coordinates
-    d = (t.v1 - t.v0).cross(t.v2 - t.v0)
-    s = (p - t.v0).cross(t.v2 - t.v0) / d
-    u = (t.v1 - t.v0).cross(p - t.v0) / d
+    v0, v1, v2 = (Vec2(*v) for v in t)
+    d = (v1 - v0).cross(v2 - v0)
+    s = (p - v0).cross(v2 - v0) / d
+    u = (v1 - v0).cross(p - v0) / d
     return s >= 0 and u >= 0 and s + u <= 1
 
 
-def contains(t: Triangle, p: Vec2) -> bool:
-    return bool(triangle_contains(t.vertex_array(), [[p.x, p.y]])[0])
+def contains(t, p: Vec2) -> bool:
+    return bool(triangle_contains(t, [[p.x, p.y]])[0])
 
 
 class TestTriangleContains:
-    tri = Triangle(Vec2(0, 0), Vec2(1, 0), Vec2(0, 1))
+    tri = T((0, 0), (1, 0), (0, 1))
 
     def test_interior_point(self):
         assert contains(self.tri, Vec2(0.25, 0.25))
@@ -90,12 +95,11 @@ class TestTriangleContains:
         assert not contains(self.tri, Vec2(1, 1))
 
     def test_degenerate_collinear_hull(self):
-        degenerate = Triangle(Vec2(0, 0), Vec2(1, 0), Vec2(2, 0))
-        inside = triangle_contains(degenerate.vertex_array(),
-                                   [[1.5, 0], [1.5, 1e-12], [2.5, 0]])
+        degenerate = T((0, 0), (1, 0), (2, 0))
+        inside = triangle_contains(degenerate, [[1.5, 0], [1.5, 1e-12], [2.5, 0]])
         assert inside.tolist() == [True, False, False]
         # on the segment, though its rounded distance to it is not zero
-        vertical = Triangle(Vec2(0.5, 0), Vec2(0.5, 1.8), Vec2(0.5, 0.9))
+        vertical = T((0.5, 0), (0.5, 1.8), (0.5, 0.9))
         assert contains(vertical, Vec2(0.5, 0.18000000000000002))
         # area zero as computed, though the middle vertex rounds off the
         # line of the outer two; every vertex still belongs
@@ -111,16 +115,15 @@ class TestTriangleContains:
     def test_agrees_with_barycentric_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            t = Triangle(Vec2(*rng.uniform(-3, 3, 2)), Vec2(*rng.uniform(-3, 3, 2)),
-                         Vec2(*rng.uniform(-3, 3, 2)))
+            t = rng.uniform(-3, 3, (3, 2))
             pts = rng.uniform(-3, 3, (10, 2))
-            inside = triangle_contains(t.vertex_array(), pts)
+            inside = triangle_contains(t, pts)
             assert inside.shape == (10,)
             for p, got in zip(pts, inside):
                 assert got == _barycentric_contains(t, Vec2(*p))
 
     def test_clockwise_triangle(self):
-        cw = Triangle(Vec2(0, 0), Vec2(0, 1), Vec2(1, 0))
+        cw = T((0, 0), (0, 1), (1, 0))
         assert contains(cw, Vec2(0.25, 0.25))
         assert not contains(cw, Vec2(1, 1))
 
@@ -222,6 +225,15 @@ class TestPolygon:
         assert unit_square() != Polygon([Vec2(0, 0), Vec2(2, 0), Vec2(0, 2)])
 
 
+def _scalar_distance(z, a, b) -> float:
+    """Point-segment distance, one pair at a time in Python floats."""
+    (zx, zy), (ax, ay), (bx, by) = z, a, b
+    dx, dy = bx - ax, by - ay
+    len2 = dx * dx + dy * dy
+    t = 0.0 if len2 == 0.0 else min(1.0, max(0.0, ((zx - ax) * dx + (zy - ay) * dy) / len2))
+    return math.hypot(zx - (ax + t * dx), zy - (ay + t * dy))
+
+
 class TestBatchHelpers:
     def test_min_distance_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -229,10 +241,8 @@ class TestBatchHelpers:
         seg_b = rng.uniform(-4, 4, (7, 2))
         pts = rng.uniform(-4, 4, (50, 2))
         batched = min_distance_to_segments(pts, seg_a, seg_b)
-        for i, (px, py) in enumerate(pts):
-            scalar = min(point_segment_distance(
-                Vec2(px, py), Segment(Vec2(*a), Vec2(*b)))
-                for a, b in zip(seg_a, seg_b))
+        for i, z in enumerate(pts):
+            scalar = min(_scalar_distance(z, a, b) for a, b in zip(seg_a, seg_b))
             assert abs(batched[i] - scalar) <= 1e-12
 
         # several full blocks and a partial last one match the unblocked matrix

@@ -17,9 +17,9 @@ from headway_sim.prediction import (
     Disk,
     PredictionSet,
     Tri,
+    _disk_radius,
     circular_prediction,
     forward_sim_prediction,
-    goal_alignment,
     prediction_distance,
     prediction_goal_radius,
     triangular_bound,
@@ -36,7 +36,8 @@ from headway_sim.properties import (
     check_trajectory_containment,
     sample_trajectory_cases,
 )
-from headway_sim.unicycle import ControllerParams, UnicycleState, headway_frame, headway_point
+from headway_sim.unicycle import ControllerParams, UnicycleState, _turning_frame, headway_point
+from test_unicycle import headway_frame
 
 PARAMS = ControllerParams(headway_coeff=0.5, ref_gain=1.0, goal_tolerance=1e-4)
 ORIGIN = Vec2(0.0, 0.0)
@@ -78,8 +79,12 @@ class TestCircularPrediction:
 
 
 class TestTriangularBound:
+    def test_is_a_filled_prediction_set(self):
+        bound = triangular_bound(state(0, 0, 0.2), Vec2(1, 1), PARAMS)
+        assert isinstance(bound, Tri) and bound.filled and bound.padding == 0.0
+
     def test_head_on_degenerates_to_segment(self):
-        tri = triangular_bound(state(1, 0, math.pi), ORIGIN, PARAMS)
+        tri = triangular_bound(state(1, 0, math.pi), ORIGIN, PARAMS).triangle
         assert tri.v0 == ORIGIN
         assert tri.v1 == Vec2(1, 0)
         assert tri.v2.x == pytest.approx(0.5, abs=1e-12)
@@ -87,16 +92,44 @@ class TestTriangularBound:
         assert abs((tri.v1 - tri.v0).cross(tri.v2 - tri.v0)) < 1e-15
 
     def test_at_goal_is_a_point(self):
-        tri = triangular_bound(state(0, 0, 0.2), ORIGIN, PARAMS)
+        tri = triangular_bound(state(0, 0, 0.2), ORIGIN, PARAMS).triangle
         assert tri.v0 == tri.v1 == tri.v2 == ORIGIN
 
     def test_misaligned_uses_projected_extended(self):
-        tri = triangular_bound(state(0, 0, math.pi / 2), Vec2(1, 0), PARAMS)
+        tri = triangular_bound(state(0, 0, math.pi / 2), Vec2(1, 0), PARAMS).triangle
         assert tri.v0 == Vec2(1, 0)
         assert tri.v1.x == pytest.approx(0.2, abs=1e-12)
         assert tri.v1.y == pytest.approx(0.4, abs=1e-12)
         assert tri.v2.x == pytest.approx(-0.030940107675850306, abs=1e-9)
         assert tri.v2.y == pytest.approx(-0.06188021535170061, abs=1e-9)
+
+
+class TestGoalAlignment:
+    """The heading's alignment with the goal bearing picks the tight bound's
+    branch: at or above eps the forward one, below it the turning one."""
+
+    def test_facing_goal(self):
+        # the alignment is 1: the forward branch at any eps
+        params = ControllerParams(headway_coeff=0.95)
+        bound = triangular_bound(state(0, 0, 0), Vec2(2, 0), params).points
+        assert np.array_equal(bound, [[2, 0], [0, 0], [1.9, 0]])
+
+    def test_perpendicular(self):
+        # the alignment is 0: the turning branch at any eps
+        params = ControllerParams(headway_coeff=0.05)
+        bound = triangular_bound(state(0, 0, math.pi / 2), Vec2(2, 0), params).points
+        *_, qx, qy, _ = _turning_frame(0.0, 0.0, math.cos(math.pi / 2), 1.0, 2.0, 0.0,
+                                       0.05, 2.0)
+        assert np.array_equal(bound[1], [qx, qy])
+
+    def test_at_goal_defaults_aligned(self):
+        # the bearing is undefined at the goal; the forward branch's triangle
+        # (goal, position, headway point) is the goal itself, as is every set
+        params = ControllerParams(headway_coeff=0.05)
+        at_goal = state(1, 1, 0.3)
+        assert np.array_equal(triangular_bound(at_goal, Vec2(1, 1), params).points,
+                              [[1, 1]] * 3)
+        assert circular_prediction(at_goal, Vec2(1, 1), params).padding == 0.0
 
 
 class TestTriangularPrediction:
@@ -127,7 +160,7 @@ class TestTriangularPrediction:
             goal = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
             bound = triangular_bound(st, goal, params)
             pred = triangular_prediction(st, goal, params)
-            for v in bound.vertices:
+            for v in bound.triangle.vertices:
                 assert prediction_distance(pred, v) <= 1e-9
 
 
@@ -181,6 +214,17 @@ def _vec2_triangle(state, goal, params, aligned):
     return goal, proj + offset, proj - offset
 
 
+def _vec2_bound(state, goal, params):
+    """The tight triangle's vertices as Vec2 arithmetic composed them."""
+    p = state.position
+    if (p - goal).norm() == 0.0:
+        return goal, goal, goal
+    if _vec2_alignment(state, goal) >= params.headway_coeff:
+        return goal, p, headway_point(state, goal, params)
+    *_, projected, extended = _vec2_frame(state, goal, params)
+    return goal, projected, extended
+
+
 def _rows(vertices):
     return np.array([[v.x, v.y] for v in vertices])
 
@@ -201,29 +245,31 @@ _coord = st.floats(-8.0, 8.0, allow_nan=False)
 
 
 class TestFloatBuilders:
-    """The circle, the triangle and the headway frame built from floats give
-    the floats that Vec2 arithmetic gave, bit for bit."""
+    """The circle, both triangles and the headway frame built from floats
+    give the floats that Vec2 arithmetic gave, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(x=_coord, y=_coord, gx=_coord, gy=_coord, th=st.floats(-20.0, 20.0),
            eps=st.floats(0.05, 0.95), case=st.sampled_from(
                ["free", "at goal", "at the boundary", "just past the boundary"]))
-    # a subnormal goal distance: the tangent has no inverse, and both refuse
+    # a subnormal goal distance: the tangent has no inverse, and both refuse;
+    # ahead, only the turning constructions need it, behind, all of them do
     @example(x=0.0, y=0.0, gx=0.0, gy=2.225073858507e-311, th=1.0, eps=0.5, case="free")
+    @example(x=0.0, y=0.0, gx=0.0, gy=2.225073858507e-311, th=-1.0, eps=0.5, case="free")
     def test_match_vec2_construction(self, x, y, gx, gy, th, eps, case):
         if case == "at goal":
             gx, gy = x, y
         state, goal = UnicycleState(Vec2(x, y), th), Vec2(gx, gy)
-        if case in ("at the boundary", "just past the boundary"):
+        r = (state.position - goal).norm()
+        if r != 0.0 and case in ("at the boundary", "just past the boundary"):
             # alignment exactly at eps takes the forward-motion branch, the
             # next float above it the turning branch
-            a = goal_alignment(state, goal)
+            a = _vec2_alignment(state, goal)
             if case == "just past the boundary":
                 a = math.nextafter(a, 2.0)
             if 0.0 < a < 1.0:
                 eps = a
         params = ControllerParams(headway_coeff=eps)
-        r = (state.position - goal).norm()
 
         disk = _outcome(lambda: circular_prediction(state, goal, params))
         assert _same(disk if disk is ValueError else disk.padding,
@@ -232,13 +278,13 @@ class TestFloatBuilders:
             assert np.array_equal(disk.points, [[gx, gy]])
 
         tri = _outcome(lambda: triangular_prediction(state, goal, params).points)
-        frame = _outcome(lambda: headway_frame(state, goal, params))
+        bound = _outcome(lambda: triangular_bound(state, goal, params).points)
+        assert _same(bound, _outcome(lambda: _rows(_vec2_bound(state, goal, params))))
         if r == 0.0:
             assert np.array_equal(tri, [[gx, gy]] * 3)
-            assert frame.projected == frame.extended == goal
+            assert np.array_equal(bound, [[gx, gy]] * 3)
             return
         aligned = _vec2_alignment(state, goal) >= eps
-        assert goal_alignment(state, goal) == _vec2_alignment(state, goal)
         assert _same(tri, _outcome(lambda: _rows(_vec2_triangle(state, goal, params, aligned))))
         branches = _outcome(lambda: properties._branch_rows(state, goal, params))
         turning = _outcome(lambda: _rows(_vec2_triangle(state, goal, params, False)))
@@ -247,17 +293,17 @@ class TestFloatBuilders:
         else:
             assert np.array_equal(branches[0], _rows(_vec2_triangle(state, goal, params, True)))
             assert _same(branches[1], turning)
+        frame = _outcome(lambda: headway_frame(state, goal, params))
         reference = _outcome(lambda: _vec2_frame(state, goal, params))
         if frame is ValueError:
             assert reference is ValueError
         else:
-            assert (frame.headway_point, frame.tangent, frame.normal, frame.projected,
-                    frame.extended) == reference
-            assert frame.headway_point == headway_point(state, goal, params)
+            assert frame == reference
+            assert frame[0] == headway_point(state, goal, params)
 
     def test_alignment_at_eps_takes_the_forward_branch(self):
         state, goal = UnicycleState(Vec2(0.0, 0.0), 0.3), Vec2(2.0, 1.0)
-        a = goal_alignment(state, goal)
+        a = _vec2_alignment(state, goal)
         branches = {}
         for eps, aligned in ((a, True), (math.nextafter(a, 2.0), False)):
             params = ControllerParams(headway_coeff=eps)
@@ -346,18 +392,6 @@ class TestPredictionGoalRadius:
         assert prediction_goal_radius(hull, ORIGIN) == pytest.approx(1.25, abs=1e-12)
 
 
-class TestGoalAlignment:
-    def test_facing_goal(self):
-        assert goal_alignment(state(0, 0, 0), Vec2(2, 0)) == pytest.approx(1.0)
-
-    def test_perpendicular(self):
-        assert goal_alignment(state(0, 0, math.pi / 2), Vec2(2, 0)) == \
-            pytest.approx(0.0, abs=1e-12)
-
-    def test_at_goal_defaults_aligned(self):
-        assert goal_alignment(state(1, 1, 0.3), Vec2(1, 1)) == 1.0
-
-
 @pytest.fixture(scope="module")
 def cases():
     # smaller sample size here; the acceptance suite runs the full sizes
@@ -399,7 +433,7 @@ def _brute_force_violations(cases):
         disk = circular_prediction(case.state, goal, case.params)
         worst["circle"] = max(worst["circle"], float(np.hypot(
             pts[:, 0] - goal.x, pts[:, 1] - goal.y).max()) - disk.padding)
-        bound = triangular_bound(case.state, goal, case.params).vertex_array()
+        bound = triangular_bound(case.state, goal, case.params).points
         tri = triangular_prediction(case.state, goal, case.params).points
         worst["triangle-bound"] = max(worst["triangle-bound"],
                                       float(triangle_distance(bound, pts).max()))
@@ -461,6 +495,28 @@ class TestBandedContainmentSearch:
     def test_held_out_seeds_match_brute_force(self, seed):
         cases = sample_trajectory_cases(seed, 5)
         assert _containment_violations(cases) == _brute_force_violations(cases)
+
+
+class TestSeriesMatchesBuilders:
+    """``properties._series`` recomputes the disk radius (criterion 3) and
+    the headway point (the headway-reference check) in vectorised form; it
+    must certify what ``_disk_radius`` and ``headway_point`` compute."""
+
+    def test_disk_radius_and_headway_point(self):
+        worst_radius = worst_point = 0.0
+        for case in sample_trajectory_cases(0, 200):
+            ser = properties._series(case)
+            g, eps = case.goal, case.params.headway_coeff
+            for i in range(0, len(ser["r"]), 7):
+                x, y, th = case.traj.states[i].tolist()
+                radius = _disk_radius(x, y, math.cos(th), math.sin(th), g.x, g.y, eps)
+                worst_radius = max(worst_radius,
+                                   abs(ser["disk_radius"][i] - radius) / max(radius, 1e-300))
+                h = headway_point(UnicycleState(Vec2(x, y), th), g, case.params)
+                worst_point = max(worst_point, math.hypot(ser["hx"][i] - h.x, ser["hy"][i] - h.y)
+                                  / max(1.0, math.hypot(h.x, h.y)))
+        assert worst_radius <= 1e-13
+        assert worst_point <= 1e-13
 
 
 class TestDecayAlongTrajectory:

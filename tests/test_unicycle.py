@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from headway_sim.geom import Segment, Vec2, point_segment_distance
+from headway_sim.geom import Vec2, min_distance_to_segments
 from headway_sim.ode import rollout, simulate_to_goal
 from headway_sim.properties import (
     check_fixed_headway_offset,
@@ -15,7 +15,7 @@ from headway_sim.unicycle import (
     UnicycleState,
     _adaptive_control,
     _fixed_control,
-    headway_frame,
+    _turning_frame,
     headway_point,
     wrap_angle,
 )
@@ -145,35 +145,40 @@ class TestFixedHeadwayControl:
         assert w == pytest.approx(0.0, abs=1e-12)
 
 
+def headway_frame(st, goal, params=PARAMS):
+    """``_turning_frame`` of a state off the goal as Vec2s: the headway
+    point, tangent, normal, projected and extended positions."""
+    p, th = st.position, st.orientation
+    hx, hy, tx, ty, nx, ny, qx, qy, k = _turning_frame(
+        p.x, p.y, math.cos(th), math.sin(th), goal.x, goal.y, params.headway_coeff,
+        math.hypot(goal.x - p.x, goal.y - p.y))
+    return (Vec2(hx, hy), Vec2(tx, ty), Vec2(nx, ny), Vec2(qx, qy),
+            Vec2(qx + nx * k, qy + ny * k))
+
+
 class TestHeadwayFrame:
     def test_perpendicular_case(self):
-        frame = headway_frame(state(0, 0, math.pi / 2), Vec2(1, 0), PARAMS)
-        assert frame.headway_point.x == pytest.approx(0.0, abs=1e-12)
-        assert frame.headway_point.y == pytest.approx(0.5, abs=1e-12)
-        assert frame.tangent.x == pytest.approx(0.8944271909999159, abs=1e-12)
-        assert frame.tangent.y == pytest.approx(-0.4472135954999579, abs=1e-12)
-        assert frame.projected.x == pytest.approx(0.2, abs=1e-12)
-        assert frame.projected.y == pytest.approx(0.4, abs=1e-12)
-        assert frame.extended.x == pytest.approx(-0.030940107675850306, abs=1e-9)
-        assert frame.extended.y == pytest.approx(-0.06188021535170061, abs=1e-9)
-
-    def test_all_fields_at_goal(self):
-        g = Vec2(2, 3)
-        frame = headway_frame(state(2, 3, 0.9), g, PARAMS)
-        assert frame.headway_point == g
-        assert frame.projected == g
-        assert frame.extended == g
-        assert frame.tangent == Vec2(0, 0)
-        assert frame.normal == Vec2(0, 0)
+        h, t, n, q, e = headway_frame(state(0, 0, math.pi / 2), Vec2(1, 0))
+        assert h.x == pytest.approx(0.0, abs=1e-12)
+        assert h.y == pytest.approx(0.5, abs=1e-12)
+        assert t.x == pytest.approx(0.8944271909999159, abs=1e-12)
+        assert t.y == pytest.approx(-0.4472135954999579, abs=1e-12)
+        # the robot lies clockwise of the travel line, and so does the normal
+        assert n == Vec2(t.y, -t.x)
+        assert q.x == pytest.approx(0.2, abs=1e-12)
+        assert q.y == pytest.approx(0.4, abs=1e-12)
+        assert e.x == pytest.approx(-0.030940107675850306, abs=1e-9)
+        assert e.y == pytest.approx(-0.06188021535170061, abs=1e-9)
 
     def test_aligned_case(self):
-        frame = headway_frame(state(0, 0, 0), Vec2(1, 0), PARAMS)
-        assert frame.headway_point == Vec2(0.5, 0)
-        assert frame.tangent == Vec2(1, 0)
-        assert frame.projected.x == pytest.approx(0.0, abs=1e-12)
-        assert frame.projected.y == pytest.approx(0.0, abs=1e-12)
-        assert (frame.extended - Vec2(1, 0)).norm() == pytest.approx(
-            1.0 / math.sqrt(0.75), rel=1e-12)
+        h, t, n, q, e = headway_frame(state(0, 0, 0), Vec2(1, 0))
+        assert h == Vec2(0.5, 0)
+        assert t == Vec2(1, 0)
+        # on the travel line the normal's sign tie resolves counterclockwise
+        assert n == Vec2(0, 1)
+        assert q.x == pytest.approx(0.0, abs=1e-12)
+        assert q.y == pytest.approx(0.0, abs=1e-12)
+        assert (e - Vec2(1, 0)).norm() == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-12)
 
     def test_unit_or_zero_frame_vectors(self):
         rng = np.random.default_rng(13)
@@ -181,10 +186,10 @@ class TestHeadwayFrame:
             st = state(rng.uniform(-4, 4), rng.uniform(-4, 4),
                        rng.uniform(-math.pi, math.pi))
             goal = Vec2(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            frame = headway_frame(st, goal, PARAMS)
-            assert frame.tangent.norm() == pytest.approx(1.0, abs=1e-12)
-            assert frame.normal.norm() == pytest.approx(1.0, abs=1e-12)
-            assert abs(frame.tangent.dot(frame.normal)) < 1e-12
+            _, t, n, _, _ = headway_frame(st, goal)
+            assert t.norm() == pytest.approx(1.0, abs=1e-12)
+            assert n.norm() == pytest.approx(1.0, abs=1e-12)
+            assert abs(t.dot(n)) < 1e-12
 
     def test_position_between_projected_and_extended(self):
         rng = np.random.default_rng(14)
@@ -194,9 +199,10 @@ class TestHeadwayFrame:
             st = state(rng.uniform(-4, 4), rng.uniform(-4, 4),
                        rng.uniform(-math.pi, math.pi))
             goal = Vec2(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            frame = headway_frame(st, goal, params)
-            seg = Segment(frame.projected, frame.extended)
-            assert point_segment_distance(st.position, seg) <= 1e-9
+            *_, q, e = headway_frame(st, goal, params)
+            p = st.position
+            assert min_distance_to_segments([[p.x, p.y]], np.array([[q.x, q.y]]),
+                                            np.array([[e.x, e.y]]))[0] <= 1e-9
 
 
 class TestUnicycleDerivative:
