@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .environment import ClearanceError
+from .ode import require_stable_step
 from .properties import run_all
 from .render import RenderError, RenderSpec, render_svg, speed_profile_svg
 from .scenario import (
@@ -106,11 +107,17 @@ def _out_dir(args) -> Path:
 
 
 def _load(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    return scenario.with_overrides(method=getattr(args, "method", None),
-                                   epsilon=getattr(args, "epsilon", None),
-                                   step=getattr(args, "dt", None),
-                                   max_time=getattr(args, "max_time", None))
+    return _overridden(load_scenario(args.scenario), method=getattr(args, "method", None),
+                       epsilon=getattr(args, "epsilon", None), step=getattr(args, "dt", None),
+                       max_time=getattr(args, "max_time", None))
+
+
+def _overridden(scenario: Scenario, **overrides) -> Scenario:
+    """The scenario with ``overrides`` applied, refused as ``run_episode``
+    would refuse it, so a bad option stops a command before its first run."""
+    scenario = scenario.with_overrides(**overrides)
+    require_stable_step(scenario.controller, scenario.sim)
+    return scenario
 
 
 def _episode_exit(result: EpisodeResult) -> int:
@@ -133,9 +140,10 @@ def _write_episode(scenario: Scenario, result: EpisodeResult, directory: Path) -
 
 def cmd_run(args) -> int:
     scenario = _load(args)
+    out = _out_dir(args) / f"{scenario.name}_{scenario.method}"
+    out.mkdir(exist_ok=True)  # an unusable --out is refused before the run
     result = run_episode(scenario.environment, scenario.path, scenario.controller,
                          scenario.method, scenario.sim, scenario.initial_theta)
-    out = _out_dir(args) / f"{scenario.name}_{scenario.method}"
     _write_episode(scenario, result, out)
     summary = result.summary()
     print(f"{scenario.name} [{scenario.method}] converged={summary['converged']} "
@@ -148,31 +156,30 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            print(f"unknown method {m!r}; expected one of {list(METHODS)}", file=sys.stderr)
-            return EXIT_SCHEMA
+    if not methods or not set(methods) <= set(METHODS):
+        raise ValueError(f"--methods must name one or more of {list(METHODS)}, "
+                         f"got {args.methods!r}")
     epsilons = ([float(e) for e in args.epsilons.split(",") if e.strip()]
-                if args.epsilons.strip() else [scenario.controller.headway_coeff])
+                or [scenario.controller.headway_coeff])
+    runs = [_overridden(scenario, method=method, epsilon=eps)
+            for eps in epsilons for method in methods]
     out = _out_dir(args)
     rows = []
     worst = EXIT_OK
     overlays = []
     speed_series = []
-    for eps in epsilons:
-        for method in methods:
-            sc = scenario.with_overrides(method=method, epsilon=eps)
-            result = run_episode(sc.environment, sc.path, sc.controller, sc.method,
-                                 sc.sim, sc.initial_theta)
-            directory = out / f"{sc.name}_{method}_eps{eps:g}"
-            _write_episode(sc, result, directory)
-            rows.append(result.summary())
-            overlays.append({"x": result.x, "y": result.y,
-                             "theta": result.theta, "v": result.v})
-            stride = max(1, len(result.t) // 600)
-            speed_series.append((f"{method} eps={eps:g}",
-                                 result.t[::stride], result.v[::stride]))
-            worst = max(worst, _episode_exit(result))
+    for sc in runs:
+        eps = sc.controller.headway_coeff
+        result = run_episode(sc.environment, sc.path, sc.controller, sc.method,
+                             sc.sim, sc.initial_theta)
+        _write_episode(sc, result, out / f"{sc.name}_{sc.method}_eps{eps:g}")
+        rows.append(result.summary())
+        overlays.append({"x": result.x, "y": result.y,
+                         "theta": result.theta, "v": result.v})
+        stride = max(1, len(result.t) // 600)
+        speed_series.append((f"{sc.method} eps={eps:g}",
+                             result.t[::stride], result.v[::stride]))
+        worst = max(worst, _episode_exit(result))
     header = f"{'method':<12} {'eps':>5} {'travel_time':>12} {'avg_speed':>10} " \
              f"{'min_margin':>11} {'eval_us':>8} {'collision':>9}"
     print(header)

@@ -68,10 +68,11 @@ class SimConfig:
             raise ValueError(f"max_time must be positive, got {self.max_time}")
         if not (self.goal_tolerance >= 0.0 and math.isfinite(self.goal_tolerance)):
             raise ValueError(f"goal_tolerance must be >= 0, got {self.goal_tolerance}")
-        if not (self.clearance_gain > 0.0 and self.endpoint_gain > 0.0):
-            raise ValueError("governor gains must be positive")
-        if self.prediction_step is not None and not self.prediction_step > 0.0:
-            raise ValueError(f"prediction_step must be positive, got {self.prediction_step}")
+        for name in ("clearance_gain", "endpoint_gain", "prediction_step"):
+            value = getattr(self, name)
+            # an infinite gain times a zero clearance or distance is a NaN rate
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def inner_step(self) -> float:
         return self.step if self.prediction_step is None else self.prediction_step

@@ -144,13 +144,14 @@ class EpisodeResult:
                 self.delta_f, self.pred_radius, self.margin)
 
     def write_csv(self, path: Path | str) -> None:
-        cols = self.columns()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for i in range(len(self.t)):
-                # repr is the shortest exact form, so reads reproduce the run
-                writer.writerow([repr(float(col[i])) for col in cols])
+            # repr is the shortest exact form, so reads reproduce the run;
+            # row by row, as a whole-table tolist() holds every cell as a
+            # float object at once
+            for row in np.column_stack(self.columns()):
+                writer.writerow([repr(v) for v in row.tolist()])
 
     def summary(self) -> dict:
         i = int(np.argmin(self.delta_f))  # the first node of least clearance
@@ -196,23 +197,16 @@ def read_trajectory_csv(path: Path | str) -> dict[str, np.ndarray]:
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: row {lineno} has {len(row)} fields, "
                                  f"expected {len(CSV_COLUMNS)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(name for name, cell in zip(CSV_COLUMNS, row)
-                           if not _is_float(cell))
-                raise ValueError(f"{path}: row {lineno}, column {bad!r}: "
-                                 "not a number") from None
+            values = []
+            for name, cell in zip(CSV_COLUMNS, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{path}: row {lineno}, column {name!r}: "
+                                     "not a number") from None
+            rows.append(values)
     data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _default_initial_theta(path: ReferencePath) -> float:
@@ -262,16 +256,13 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     t = 0.0
     s = 0.0
     x, y, th = start.x, start.y, theta0
-    # C doubles, not float objects: 8 bytes a logged value instead of 32
-    ts, ss, xs, ys, ths = (array("d", [value]) for value in (t, s, x, y, th))
-    vs, ws, dfs, radii = array("d"), array("d"), array("d"), array("d")
+    # one row of C doubles a node: the CSV columns up to pred_radius, then
+    # the node's first-stage path rate
+    log = array("d")
     converged = False
     while True:
         k1 = field(s, x, y, th)
-        vs.append(k1[4])
-        ws.append(k1[3])
-        dfs.append(k1[5])
-        radii.append(k1[6])
+        log.extend((t, s, x, y, th, k1[4], k1[3], k1[5], k1[6], k1[0]))
         dist_end = math.hypot(goal_end.x - x, goal_end.y - y)
         if length - s <= stop_tol and dist_end <= stop_tol:
             converged = True
@@ -290,47 +281,34 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         th += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
         s = min(max(s, 0.0), length)  # guard the parameter range against overshoot
         t += dt
-        ts.append(t)
-        ss.append(s)
-        xs.append(x)
-        ys.append(y)
-        ths.append(th)
 
-    n = len(ts)
-    positions = np.column_stack([np.array(xs), np.array(ys)])
-    margins = margin_points(env, positions)
-    v_arr = np.array(vs[:n])
-    w_arr = np.array(ws[:n])
-    delta_f = np.array(dfs[:n])
-    s_arr = np.array(ss)
-    # each node interval's first-stage path rate, as governor_field forms it
-    rate = np.minimum(config.clearance_gain * delta_f[:-1],
-                      config.endpoint_gain * (length - s_arr[:-1]))
-    paused = rate == 0.0
-    result = EpisodeResult(
+    # a contiguous copy of each column, so no result array holds the rates
+    ts, ss, xs, ys, ths, vs, ws, dfs, radii, rate = map(
+        np.array, np.frombuffer(log).reshape(-1, 10).T)
+    margins = margin_points(env, np.column_stack([xs, ys]))
+    paused = rate[:-1] == 0.0
+    return EpisodeResult(
         method=method,
         epsilon=params.headway_coeff,
-        t=np.array(ts),
-        s=s_arr,
-        x=np.array(xs),
-        y=np.array(ys),
-        theta=np.array(ths),
-        v=v_arr,
-        omega=w_arr,
-        delta_f=delta_f,
-        pred_radius=np.array(radii[:n]),
+        t=ts,
+        s=ss,
+        x=xs,
+        y=ys,
+        theta=ths,
+        v=vs,
+        omega=ws,
+        delta_f=dfs,
+        pred_radius=radii,
         margin=margins,
         converged=converged,
-        travel_time=float(ts[-1]),
+        travel_time=t,
         min_margin=float(margins.min()),
-        avg_speed=float(np.mean(np.abs(v_arr))),
+        avg_speed=float(np.mean(np.abs(vs))),
         collision_flag=bool(margins.min() < 0.0),
-        peak_angular_rate=float(np.max(np.abs(w_arr))) if len(w_arr) else 0.0,
-        final_goal_distance=float(math.hypot(goal_end.x - xs[-1], goal_end.y - ys[-1])),
+        peak_angular_rate=float(np.max(np.abs(ws))),
+        final_goal_distance=dist_end,
         governor_eval_seconds=eval_time / max(1, eval_count),
         n_governor_evals=eval_count,
         paused_fraction=float(paused.mean()) if len(paused) else 0.0,
         pause_intervals=int(np.count_nonzero(paused[1:] & ~paused[:-1]) + paused[:1].sum()),
     )
-    return result
-

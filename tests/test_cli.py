@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from headway_sim import cli
 from headway_sim.cli import (
     EXIT_CLEARANCE,
     EXIT_COLLISION,
@@ -44,6 +45,10 @@ def test_import_loads_no_undeclared_packages():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an episode ran before the options were checked")
 
 
 @pytest.fixture
@@ -87,6 +92,17 @@ class TestValidate:
         assert main(["validate", "--scenario", str(corridor)]) == EXIT_CLEARANCE
         assert "touches or crosses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gain", ["clearance_gain", "endpoint_gain"])
+    def test_infinite_gain_refused(self, gain, tmp_path, capsys):
+        # passed validation, then `run` died on a NaN path rate (inf * 0)
+        scenario = tmp_path / "open.yaml"
+        shutil.copy(SCENARIO_DIR / "open.yaml", scenario)
+        _edit_scenario(scenario, lambda d: d["governor"].update({gain: float("inf")}))
+        assert main(["validate", "--scenario", str(scenario)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario validation failed:",
+            f"  - integrator/governor: {gain} must be positive and finite, got inf"]
+
     def test_parse_exit(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("nope: [unclosed\n")
@@ -106,7 +122,9 @@ class TestRun:
         assert summary["converged"] is True
         assert summary["collision"] is False
 
-    def test_output_path_that_is_a_file_refused(self, corridor, tmp_path, capsys):
+    def test_output_path_that_is_a_file_refused(self, corridor, tmp_path, capsys, monkeypatch):
+        # refused before the episode, not after it
+        monkeypatch.setattr(cli, "run_episode", _must_not_run)
         taken = tmp_path / "taken"
         taken.write_text("")
         code = main(["run", "--scenario", str(corridor), "--out", str(taken)])
@@ -259,6 +277,43 @@ class TestCompare:
         code = main(["compare", "--scenario", str(corridor),
                      "--methods", "circle,pentagon", "--out", str(tmp_path / "x")])
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_no_method_rejected(self, methods, corridor, tmp_path, capsys, monkeypatch):
+        # "," used to print an empty table and write corridor_compare.svg
+        # before failing to draw the speed plot
+        monkeypatch.setattr(cli, "run_episode", _must_not_run)
+        out = tmp_path / "x"
+        code = main(["compare", "--scenario", str(corridor),
+                     "--methods", methods, "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: --methods must name one or more of ['circle', 'triangle', "
+            f"'forward-sim'], got {methods!r}\n")
+        assert not out.exists()
+
+    def test_bad_epsilon_refused_before_any_run(self, corridor, tmp_path, capsys,
+                                                monkeypatch):
+        # 0.5 used to run and write its directory before 1.5 was refused
+        monkeypatch.setattr(cli, "run_episode", _must_not_run)
+        out = tmp_path / "x"
+        code = main(["compare", "--scenario", str(corridor), "--methods", "circle",
+                     "--epsilons", "0.5,1.5", "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: headway_coeff must be strictly between 0 and 1, got 1.5\n")
+        assert not out.exists()
+
+    def test_unstable_step_refused_before_any_run(self, corridor, tmp_path, capsys,
+                                                  monkeypatch):
+        # the step is stable at eps 0.5 and not at 0.05 (rate 21 /s at 0.2 s)
+        monkeypatch.setattr(cli, "run_episode", _must_not_run)
+        out = tmp_path / "x"
+        code = main(["compare", "--scenario", str(corridor), "--methods", "circle",
+                     "--epsilons", "0.5,0.05", "--dt", "0.2", "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        assert "RK4's stability limit 2.785" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_method_degenerates_to_run_outputs(self, corridor, tmp_path):
         out = tmp_path / "single"

@@ -18,6 +18,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="prediction_step"):
             SimConfig(prediction_step=0.0)
 
+    @pytest.mark.parametrize("field", ["clearance_gain", "endpoint_gain", "prediction_step"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_gains_and_prediction_step_finite_positive(self, field, value):
+        # an infinite gain passed validation and gave a NaN path rate (inf * 0)
+        with pytest.raises(ValueError, match=rf"^{field} must be positive and finite, got"):
+            SimConfig(**{field: value})
+
     def test_inner_step_defaults_to_step(self):
         assert SimConfig(step=0.01).inner_step() == 0.01
         assert SimConfig(step=0.01, prediction_step=0.05).inner_step() == 0.05

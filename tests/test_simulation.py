@@ -109,6 +109,20 @@ class TestRunEpisode:
                              SimConfig(step=0.01, max_time=0.5, goal_tolerance=2e-4))
         assert not result.converged
         assert result.travel_time == pytest.approx(0.5, abs=0.011)
+        assert all(len(col) == len(result.t) for col in result.columns())
+
+    def test_logged_columns_replay_the_governor(self):
+        # each node's v, omega, delta_F and pred_radius are the first-stage
+        # governor_field results at the logged s and pose, in that order
+        sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "open.yaml")
+        res = run_episode(sc.environment, sc.path, sc.controller, "triangle", sc.sim)
+        for i in range(0, len(res.t), 50):
+            k = governor_field(sc.environment, sc.path, sc.controller, "triangle", sc.sim,
+                               res.s[i], res.x[i], res.y[i], res.theta[i])
+            assert res.v[i] == k[4]
+            assert res.omega[i] == k[3]
+            assert res.delta_f[i] == k[5]
+            assert res.pred_radius[i] == k[6]
 
     def test_inner_budget_fault_raises(self, simple_setup, monkeypatch):
         # an unconverged inner simulation means the hull may miss part of

@@ -2,16 +2,17 @@
 
 Runs ``headway-sim run`` at scenario defaults on the five shipped scenes
 with each prediction method, ``render --snapshots 0,3`` on ``open`` for each
-method, and ``check`` at its defaults, all from the source tree this script
-sits in.  Each command's exit code and the ``check`` report are written
-next to the CSV/SVG outputs, so one listing covers files, exit codes and
-property-suite lines.  ``summary.yaml`` records wall-clock cost and is left
+method, ``compare --methods circle,triangle`` on ``open`` and ``check`` at
+its defaults, all from the source tree this script sits in.  Each command's
+exit code and the ``check`` report are written next to the CSV/SVG outputs,
+so one listing covers files, exit codes and property-suite lines.
+``summary.yaml`` and ``*_compare.csv`` record wall-clock cost and are left
 out.  Output is sorted ``sha256  path`` lines, so two trees compare with
 ``diff``:
 
     python tools/output_digests.py OUT_DIR > digests.txt
 
-Took 70 s on a 2-core Xeon host.
+Took 118 s on a 2-core Xeon host.
 """
 
 from __future__ import annotations
@@ -51,12 +52,16 @@ def main(argv: list[str]) -> int:
                     "--csv", f"runs/open_{method}/trajectory.csv", "--method", method,
                     "--snapshots", "0,3", "--out", f"render/open_{method}.svg")
         codes.append(f"{done.returncode}  render open {method}")
+    done = _cli(out, "compare", "--scenario", str(ROOT / "scenarios" / "open.yaml"),
+                "--methods", "circle,triangle", "--out", "compare")
+    codes.append(f"{done.returncode}  compare open circle,triangle")
     done = _cli(out, "check")
     codes.append(f"{done.returncode}  check")
     (out / "check.txt").write_text(done.stdout)
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
-    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "summary.yaml")
+    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "summary.yaml"
+                   and not p.name.endswith("_compare.csv"))
     for p in files:
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         print(f"{digest}  {p.relative_to(out).as_posix()}")
