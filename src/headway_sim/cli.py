@@ -120,6 +120,15 @@ def _overridden(scenario: Scenario, **overrides) -> Scenario:
     return scenario
 
 
+def _numbers(text: str, option: str) -> list[float]:
+    """The numbers of a comma-separated option value; blank items are skipped."""
+    try:
+        return [float(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise ValueError(f"{option} must be a comma-separated list of numbers, "
+                         f"got {text!r}") from None
+
+
 def _episode_exit(result: EpisodeResult) -> int:
     if result.collision_flag:
         return EXIT_COLLISION
@@ -159,8 +168,7 @@ def cmd_compare(args) -> int:
     if not methods or not set(methods) <= set(METHODS):
         raise ValueError(f"--methods must name one or more of {list(METHODS)}, "
                          f"got {args.methods!r}")
-    epsilons = ([float(e) for e in args.epsilons.split(",") if e.strip()]
-                or [scenario.controller.headway_coeff])
+    epsilons = _numbers(args.epsilons, "--epsilons") or [scenario.controller.headway_coeff]
     runs = [_overridden(scenario, method=method, epsilon=eps)
             for eps in epsilons for method in methods]
     out = _out_dir(args)
@@ -205,7 +213,7 @@ def cmd_render(args) -> int:
     scenario = load_scenario(args.scenario)
     method = args.method or scenario.method
     trajectories = [read_trajectory_csv(f) for f in args.csv]
-    snapshots = [float(t) for t in args.snapshots.split(",") if t.strip()]
+    snapshots = _numbers(args.snapshots, "--snapshots")
     if not all(map(math.isfinite, snapshots)):
         raise RenderError(f"snapshot times must be finite, got {args.snapshots!r}")
     predictions = []

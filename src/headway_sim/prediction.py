@@ -20,7 +20,9 @@ three points.
 All sets shrink to the goal point as the robot converges, which is what the
 path governor needs to keep making progress.  The circle and both triangles
 are built from floats ``(x, y, cos theta, sin theta, gx, gy)`` on the one
-headway frame ``unicycle._turning_frame``, bit for bit as ``Vec2`` built them.
+headway frame ``unicycle._turning_frame``.  Their operation order is pinned by
+``TestFloatBuilders::test_match_vec2_construction``: any reordering moves the
+shipped outputs in the last bit.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Scenario files: loading, validation, and writing.
 
-A scenario is a YAML document with these sections (lengths in meters,
-angles in radians):
+A scenario is a YAML document (lengths in meters, angles in radians):
 
 .. code-block:: yaml
 
@@ -13,22 +12,15 @@ angles in radians):
     path: [[1.2,1.2],[1.6,6.9]]  # at least two waypoints
     initial_theta: 0.0           # optional; default faces the first segment
     method: triangle             # circle | triangle | forward-sim
-    controller:
-      headway_coeff: 0.5         # in (0, 1)
-      ref_gain: 1.0
-      goal_tolerance: 0.0001
-    governor:
-      clearance_gain: 4.0
-      endpoint_gain: 4.0
+    controller:                  # optional sections; keys and defaults
+      headway_coeff: 0.75        # are listed once, in _SECTIONS
     integrator:
       step: 0.01
-      max_time: 90.0
-      goal_tolerance: 0.0002
-      prediction_step: 0.02      # optional inner step for forward-sim sets
 
-Validation failures are collected and reported together; a syntactically
-valid scenario whose reference path lacks free-space clearance raises a
-separate clearance error so callers can distinguish the two.
+Validation failures, unknown keys and non-mapping sections included, are
+collected and reported together; a syntactically valid scenario whose
+reference path lacks free-space clearance raises a separate clearance error
+so callers can distinguish the two.
 """
 
 from __future__ import annotations
@@ -123,18 +115,38 @@ def _coerce_points(raw, label: str, violations: list[str]) -> list[Vec2] | None:
     return pts
 
 
-def _get_number(section: dict, key: str, label: str, violations: list[str],
-                default=None):
+# each section's keys with their file defaults, in file order; the keys are
+# the ControllerParams / SimConfig field names, and a None default marks a key
+# that files may leave out.  Files end episodes at goal_tolerance 2e-4, not at
+# SimConfig's own 1e-4.
+_SECTIONS = {
+    "controller": (("headway_coeff", 0.5), ("ref_gain", 1.0), ("goal_tolerance", 1e-4)),
+    "governor": (("clearance_gain", 4.0), ("endpoint_gain", 4.0)),
+    "integrator": (("step", 0.005), ("max_time", 60.0), ("goal_tolerance", 2e-4),
+                   ("prediction_step", None)),
+}
+_TOP_KEYS = ("name", "workspace", "obstacles", "robot_radius", "path", "initial_theta",
+             "method", *_SECTIONS)
+_REQUIRED = object()
+
+
+def _get_number(section: dict, key: str, prefix: str, violations: list[str],
+                default=_REQUIRED):
     if key not in section:
-        if default is not None:
-            return default
-        violations.append(f"{label}.{key}: missing required value")
-        return None
+        if default is _REQUIRED:
+            violations.append(f"{prefix}{key}: missing required value")
+            return None
+        return default
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{label}.{key}: expected a number, got {value!r}")
+        violations.append(f"{prefix}{key}: expected a number, got {value!r}")
         return None
     return float(value)
+
+
+def _refuse_unknown(mapping: dict, known, prefix: str, violations: list[str]) -> None:
+    violations.extend(f"{prefix}{key}: unknown key; expected one of {list(known)}"
+                      for key in mapping if key not in known)
 
 
 # the shortest and longest lengths whose squares are non-zero and finite
@@ -172,6 +184,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{source}: scenario document must be a mapping")
     violations: list[str] = []
+    _refuse_unknown(data, _TOP_KEYS, "", violations)
 
     name = data.get("name", Path(source).stem if source != "<dict>" else "scenario")
     if not isinstance(name, str):
@@ -192,7 +205,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         if pts is not None:
             obstacle_pts[i] = pts
 
-    radius = _get_number(data, "robot_radius", "scenario", violations)
+    radius = _get_number(data, "robot_radius", "scenario.", violations)
     if radius is not None and radius <= 0.0:
         violations.append(f"robot_radius: must be positive, got {radius}")
         radius = None
@@ -229,55 +242,39 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     if method not in METHODS:
         violations.append(f"method: expected one of {list(METHODS)}, got {method!r}")
 
-    theta = data.get("initial_theta")
-    if theta is not None:
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-            violations.append(f"initial_theta: expected a number, got {theta!r}")
-            theta = None
-        elif not math.isfinite(float(theta)):
+    theta = None
+    if data.get("initial_theta") is not None:
+        theta = _get_number(data, "initial_theta", "", violations)
+        if theta is not None and not math.isfinite(theta):
             violations.append(f"initial_theta: must be finite, got {theta}")
             theta = None
-        else:
-            theta = float(theta)
 
-    ctl_raw = data.get("controller", {}) or {}
+    # only an absent or null section takes every default
+    sections = {}
+    for section, fields in _SECTIONS.items():
+        raw = {} if data.get(section) is None else data[section]
+        if not isinstance(raw, dict):
+            violations.append(f"{section}: expected a mapping")
+            continue
+        before = len(violations)
+        values = {key: _get_number(raw, key, f"{section}.", violations, default)
+                  for key, default in fields}
+        if len(violations) == before:
+            sections[section] = values
+        _refuse_unknown(raw, values, f"{section}.", violations)
+
     controller = None
-    if not isinstance(ctl_raw, dict):
-        violations.append("controller: expected a mapping")
-    else:
-        eps = _get_number(ctl_raw, "headway_coeff", "controller", violations, default=0.5)
-        gain = _get_number(ctl_raw, "ref_gain", "controller", violations, default=1.0)
-        tol = _get_number(ctl_raw, "goal_tolerance", "controller", violations, default=1e-4)
-        if None not in (eps, gain, tol):
-            try:
-                controller = ControllerParams(eps, gain, tol)
-            except ValueError as exc:
-                violations.append(f"controller: {exc}")
-
-    gov_raw = data.get("governor", {}) or {}
-    integ_raw = data.get("integrator", {}) or {}
+    if "controller" in sections:
+        try:
+            controller = ControllerParams(**sections["controller"])
+        except ValueError as exc:
+            violations.append(f"controller: {exc}")
     sim = None
-    if not isinstance(gov_raw, dict):
-        violations.append("governor: expected a mapping")
-    elif not isinstance(integ_raw, dict):
-        violations.append("integrator: expected a mapping")
-    else:
-        k_clear = _get_number(gov_raw, "clearance_gain", "governor", violations, default=4.0)
-        k_end = _get_number(gov_raw, "endpoint_gain", "governor", violations, default=4.0)
-        step = _get_number(integ_raw, "step", "integrator", violations, default=0.005)
-        max_time = _get_number(integ_raw, "max_time", "integrator", violations, default=60.0)
-        sim_tol = _get_number(integ_raw, "goal_tolerance", "integrator", violations,
-                              default=2e-4)
-        pred_step = None
-        if "prediction_step" in integ_raw:
-            pred_step = _get_number(integ_raw, "prediction_step", "integrator", violations)
-        if None not in (k_clear, k_end, step, max_time, sim_tol):
-            try:
-                sim = SimConfig(step=step, max_time=max_time, goal_tolerance=sim_tol,
-                                clearance_gain=k_clear, endpoint_gain=k_end,
-                                prediction_step=pred_step)
-            except ValueError as exc:
-                violations.append(f"integrator/governor: {exc}")
+    if "governor" in sections and "integrator" in sections:
+        try:
+            sim = SimConfig(**sections["governor"], **sections["integrator"])
+        except ValueError as exc:
+            violations.append(f"integrator/governor: {exc}")
 
     if controller is not None and sim is not None:
         try:
@@ -326,23 +323,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "robot_radius": env.robot_radius,
         "path": [[p.x, p.y] for p in scenario.path.waypoints],
         "method": scenario.method,
-        "controller": {
-            "headway_coeff": scenario.controller.headway_coeff,
-            "ref_gain": scenario.controller.ref_gain,
-            "goal_tolerance": scenario.controller.goal_tolerance,
-        },
-        "governor": {
-            "clearance_gain": scenario.sim.clearance_gain,
-            "endpoint_gain": scenario.sim.endpoint_gain,
-        },
-        "integrator": {
-            "step": scenario.sim.step,
-            "max_time": scenario.sim.max_time,
-            "goal_tolerance": scenario.sim.goal_tolerance,
-        },
     }
-    if scenario.sim.prediction_step is not None:
-        data["integrator"]["prediction_step"] = scenario.sim.prediction_step
+    for section, fields in _SECTIONS.items():
+        params = scenario.controller if section == "controller" else scenario.sim
+        data[section] = {key: getattr(params, key) for key, _ in fields
+                         if getattr(params, key) is not None}
     if scenario.initial_theta is not None:
         data["initial_theta"] = scenario.initial_theta
     return data

@@ -138,8 +138,9 @@ def _turning_frame(x: float, y: float, c: float, s: float, gx: float, gy: float,
     headway point, the unit tangent of its travel, the unit normal signed
     toward the robot (a tie picks ``(-ty, tx)``), the position projected on
     the travel line, and the length ``k`` that makes ``[q, q + k n]``
-    bracket the position.  Operations follow the order of the ``Vec2``
-    expressions the frame was first written in, bit for bit."""
+    bracket the position.  The operation order is pinned by
+    ``TestFloatBuilders::test_match_vec2_construction``; any reordering moves
+    the shipped outputs in the last bit."""
     kh = eps * r
     hx, hy = x + c * kh, y + s * kh
     to_x, to_y = gx - hx, gy - hy

@@ -103,6 +103,17 @@ class TestValidate:
             "scenario validation failed:",
             f"  - integrator/governor: {gain} must be positive and finite, got inf"]
 
+    def test_misspelled_obstacles_refused(self, tmp_path, capsys):
+        # a typo must not drop every obstacle
+        scenario = tmp_path / "office.yaml"
+        shutil.copy(SCENARIO_DIR / "office.yaml", scenario)
+        _edit_scenario(scenario, lambda d: d.update(obstacle=d.pop("obstacles")))
+        assert main(["validate", "--scenario", str(scenario)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "scenario validation failed:"
+        assert err[1].startswith("  - obstacle: unknown key; expected one of [")
+        assert len(err) == 2
+
     def test_parse_exit(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("nope: [unclosed\n")
@@ -304,6 +315,18 @@ class TestCompare:
             "error: headway_coeff must be strictly between 0 and 1, got 1.5\n")
         assert not out.exists()
 
+    def test_epsilon_that_is_not_a_number_refused(self, corridor, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli, "run_episode", _must_not_run)
+        out = tmp_path / "x"
+        code = main(["compare", "--scenario", str(corridor), "--methods", "circle",
+                     "--epsilons", "0.5,abc", "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: --epsilons must be a comma-separated list of numbers, "
+            "got '0.5,abc'\n")
+        assert not out.exists()
+
     def test_unstable_step_refused_before_any_run(self, corridor, tmp_path, capsys,
                                                   monkeypatch):
         # the step is stable at eps 0.5 and not at 0.05 (rate 21 /s at 0.2 s)
@@ -387,6 +410,18 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("render error: snapshot times must be finite")
         assert err.count("\n") == 1
+        assert not svg.exists()
+
+    def test_snapshot_time_that_is_not_a_number_refused(self, corridor, tmp_path, capsys):
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("t,s,x,y,theta,v,omega,delta_F,pred_radius,margin\n"
+                           "0,0,0.5,1.2,0,0,0,0,0,0\n")
+        svg = tmp_path / "fig.svg"
+        code = main(["render", "--scenario", str(corridor), "--csv", str(one_row),
+                     "--out", str(svg), "--snapshots", "abc"])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: --snapshots must be a comma-separated list of numbers, got 'abc'\n")
         assert not svg.exists()
 
 

@@ -98,6 +98,51 @@ class TestValidation:
         with pytest.raises(ClearanceError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("section, value", [
+        ("integrator", 0), ("controller", []), ("governor", False), ("controller", "")])
+    def test_non_mapping_section_refused(self, section, value):
+        # none of these may run on every default
+        data = office_data()
+        data[section] = value
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.violations == [f"{section}: expected a mapping"]
+
+    def test_bad_governor_does_not_hide_bad_integrator(self):
+        data = office_data()
+        data.update(governor=0, integrator=[1.0])
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.violations == ["governor: expected a mapping",
+                                        "integrator: expected a mapping"]
+
+    def test_misspelled_obstacles_refused(self):
+        # a typo must not drop every obstacle
+        data = office_data()
+        data["obstacle"] = data.pop("obstacles")
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith("obstacle: unknown key; expected one of [")
+
+    def test_misspelled_section_key_refused(self):
+        # a typo must not leave the gain at its default
+        data = office_data()
+        data["governor"] = {"clearance_gian": 8.0}
+        data["controller"]["headway"] = 0.6
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.violations == [
+            "controller.headway: unknown key; expected one of "
+            "['headway_coeff', 'ref_gain', 'goal_tolerance']",
+            "governor.clearance_gian: unknown key; expected one of "
+            "['clearance_gain', 'endpoint_gain']"]
+
+    def test_null_section_takes_defaults(self):
+        data = office_data()
+        data["governor"] = None
+        assert scenario_from_dict(data).sim.clearance_gain == 4.0
+
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):
             scenario_from_dict([1, 2, 3])
@@ -124,8 +169,26 @@ class TestLoadScenario:
         f.write_text(yaml.safe_dump(data))
         scenario = load_scenario(f)
         assert scenario.controller.headway_coeff == 0.5
+        assert scenario.controller.ref_gain == 1.0
+        assert scenario.controller.goal_tolerance == 1e-4
         assert scenario.sim.clearance_gain == 4.0
+        assert scenario.sim.endpoint_gain == 4.0
+        assert scenario.sim.step == 0.005
+        assert scenario.sim.max_time == 60.0
+        # files end episodes at 2e-4, not at SimConfig's own 1e-4
+        assert scenario.sim.goal_tolerance == 2e-4
+        assert scenario.sim.prediction_step is None
         assert scenario.initial_theta is None
+
+    def test_defaults_round_trip(self, tmp_path):
+        data = office_data()
+        for section in ("controller", "governor", "integrator"):
+            del data[section]
+        scenario = scenario_from_dict(data)
+        out = tmp_path / "written.yaml"
+        write_scenario(scenario, out)
+        assert "prediction_step" not in out.read_text()
+        assert load_scenario(out) == scenario
 
 
 class TestOverrides:

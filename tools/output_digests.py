@@ -2,10 +2,11 @@
 
 Runs ``headway-sim run`` at scenario defaults on the five shipped scenes
 with each prediction method, ``render --snapshots 0,3`` on ``open`` for each
-method, ``compare --methods circle,triangle`` on ``open`` and ``check`` at
-its defaults, all from the source tree this script sits in.  Each command's
-exit code and the ``check`` report are written next to the CSV/SVG outputs,
-so one listing covers files, exit codes and property-suite lines.
+method, ``compare --methods circle,triangle`` on ``open``, ``validate`` and
+``write_scenario`` on each shipped scene and ``check`` at its defaults, all
+from the source tree this script sits in.  Each command's exit code and the
+``check`` report are written next to the CSV/SVG/YAML outputs, so one
+listing covers files, exit codes and property-suite lines.
 ``summary.yaml`` and ``*_compare.csv`` record wall-clock cost and are left
 out.  Output is sorted ``sha256  path`` lines, so two trees compare with
 ``diff``:
@@ -28,11 +29,20 @@ SCENES = ("corridor", "office", "open", "slalom", "uturn")
 METHODS = ("circle", "triangle", "forward-sim")
 
 
-def _cli(out: Path, *args: str) -> subprocess.CompletedProcess:
+# loads a scenario and writes it back: write_scenario(load_scenario(argv[1]), argv[2])
+WRITE = ("import sys; from headway_sim.scenario import load_scenario, write_scenario; "
+         "write_scenario(load_scenario(sys.argv[1]), sys.argv[2])")
+
+
+def _python(out: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("HEADWAY_SIM_OUT", None)
-    return subprocess.run([sys.executable, "-m", "headway_sim.cli", *args], cwd=out,
-                          env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=out, env=env,
+                          capture_output=True, text=True)
+
+
+def _cli(out: Path, *args: str) -> subprocess.CompletedProcess:
+    return _python(out, "-m", "headway_sim.cli", *args)
 
 
 def main(argv: list[str]) -> int:
@@ -42,10 +52,16 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
     codes = []
+    (out / "written").mkdir(exist_ok=True)
     for scene in SCENES:
+        source = str(ROOT / "scenarios" / f"{scene}.yaml")
+        done = _cli(out, "validate", "--scenario", source)
+        codes.append(f"{done.returncode}  validate {scene}")
+        done = _python(out, "-c", WRITE, source, f"written/{scene}.yaml")
+        codes.append(f"{done.returncode}  write_scenario {scene}")
         for method in METHODS:
-            done = _cli(out, "run", "--scenario", str(ROOT / "scenarios" / f"{scene}.yaml"),
-                        "--method", method, "--out", "runs")
+            done = _cli(out, "run", "--scenario", source, "--method", method,
+                        "--out", "runs")
             codes.append(f"{done.returncode}  run {scene} {method}")
     for method in METHODS:
         done = _cli(out, "render", "--scenario", str(ROOT / "scenarios" / "open.yaml"),
