@@ -97,6 +97,9 @@ class Scenario:
 
 
 def _coerce_points(raw, label: str, violations: list[str]) -> list[Vec2] | None:
+    if raw is None:
+        violations.append(f"{label}: missing required value")
+        return None
     if not isinstance(raw, (list, tuple)) or not raw:
         violations.append(f"{label}: expected a non-empty list of [x, y] pairs")
         return None
@@ -117,7 +120,8 @@ def _coerce_points(raw, label: str, violations: list[str]) -> list[Vec2] | None:
 
 # each section's keys with their file defaults, in file order; the keys are
 # the ControllerParams / SimConfig field names, and a None default marks a key
-# that files may leave out.  Files end episodes at goal_tolerance 2e-4, not at
+# that files may leave out.  A null value reads as a missing key, here and at
+# the top level.  Files end episodes at goal_tolerance 2e-4, not at
 # SimConfig's own 1e-4.
 _SECTIONS = {
     "controller": (("headway_coeff", 0.5), ("ref_gain", 1.0), ("goal_tolerance", 1e-4)),
@@ -142,6 +146,11 @@ def _get_number(section: dict, key: str, prefix: str, violations: list[str],
         violations.append(f"{prefix}{key}: expected a number, got {value!r}")
         return None
     return float(value)
+
+
+def _present(mapping: dict) -> dict:
+    """The keys of ``mapping`` whose value is not null."""
+    return {key: value for key, value in mapping.items() if value is not None}
 
 
 def _refuse_unknown(mapping: dict, known, prefix: str, violations: list[str]) -> None:
@@ -185,6 +194,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioParseError(f"{source}: scenario document must be a mapping")
     violations: list[str] = []
     _refuse_unknown(data, _TOP_KEYS, "", violations)
+    # null means missing: an optional key takes its default, and a required
+    # one (workspace, robot_radius, path) is refused as missing
+    data = _present(data)
 
     name = data.get("name", Path(source).stem if source != "<dict>" else "scenario")
     if not isinstance(name, str):
@@ -194,8 +206,6 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     ws_pts = _coerce_points(data.get("workspace"), "workspace", violations)
 
     raw_obstacles = data.get("obstacles", [])
-    if raw_obstacles is None:
-        raw_obstacles = []
     if not isinstance(raw_obstacles, (list, tuple)):
         violations.append("obstacles: expected a list of polygons")
         raw_obstacles = []
@@ -205,7 +215,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         if pts is not None:
             obstacle_pts[i] = pts
 
-    radius = _get_number(data, "robot_radius", "scenario.", violations)
+    radius = _get_number(data, "robot_radius", "", violations)
     if radius is not None and radius <= 0.0:
         violations.append(f"robot_radius: must be positive, got {radius}")
         radius = None
@@ -242,22 +252,21 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     if method not in METHODS:
         violations.append(f"method: expected one of {list(METHODS)}, got {method!r}")
 
-    theta = None
-    if data.get("initial_theta") is not None:
-        theta = _get_number(data, "initial_theta", "", violations)
-        if theta is not None and not math.isfinite(theta):
-            violations.append(f"initial_theta: must be finite, got {theta}")
-            theta = None
+    theta = _get_number(data, "initial_theta", "", violations, None)
+    if theta is not None and not math.isfinite(theta):
+        violations.append(f"initial_theta: must be finite, got {theta}")
+        theta = None
 
     # only an absent or null section takes every default
     sections = {}
     for section, fields in _SECTIONS.items():
-        raw = {} if data.get(section) is None else data[section]
+        raw = data.get(section, {})
         if not isinstance(raw, dict):
             violations.append(f"{section}: expected a mapping")
             continue
         before = len(violations)
-        values = {key: _get_number(raw, key, f"{section}.", violations, default)
+        present = _present(raw)
+        values = {key: _get_number(present, key, f"{section}.", violations, default)
                   for key, default in fields}
         if len(violations) == before:
             sections[section] = values

@@ -7,6 +7,25 @@ Progress pauses automatically when the predicted motion nears the
 free-space boundary, which is exactly what makes the scheme safe: the
 prediction set always contains the future closed-loop motion toward the
 current path point.
+
+``run_episode`` integrates the loop with RK4.  The first stage of each step
+is a full ``governor_field`` evaluation: its clearance and goal radius are
+logged with the node.  The three later stages feed only their rates to the
+integrator, so they compute no goal radius, and they skip the clearance
+query when the first stage certifies that the endpoint pull binds.  The
+certificate: the later stage's set has the same number of points as the
+first stage's; with h the largest distance between points of the same index
+plus the difference of the paddings, each set lies within h of the other (a
+disk's center, a filled triangle's point of the same barycentric weights),
+and clearance, a distance to the free-space complement, moves by at most
+h.  So when ``clearance_gain * (clearance_1 - 2h - tau) > endpoint_gain *
+(length - s)``, the clearance rate is above the endpoint pull and ``min``
+would return the endpoint pull: the stage returns it directly, and every
+output is unchanged.  The test takes twice the bound h as a margin, and
+``tau`` (``_rounding_bound``) lies orders of magnitude above the rounding of
+either computed clearance: without it, one stage of the shipped
+open/triangle run computed a clearance 2.2e-16 m below ``clearance_1 - h``.
+Forward-sim sets whose inner runs differ in length get no certificate.
 """
 
 from __future__ import annotations
@@ -81,9 +100,34 @@ def prediction_set(method: str, state: UnicycleState, goal: Vec2,
     raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
 
 
+def _rounding_bound(env: Environment) -> float:
+    """The rounding allowance ``tau`` of the stage certificate: 1e-9 times
+    the diagonal of the bounding box of the workspace and the origin, which
+    bounds every coordinate a clearance query sees."""
+    xy = env.workspace.xy
+    lo = np.minimum(xy.min(axis=0), 0.0)
+    hi = np.maximum(xy.max(axis=0), 0.0)
+    return 1e-9 * math.hypot(*(hi - lo).tolist())
+
+
+def _endpoint_binds(pred: PredictionSet, first: tuple, endpoint: float, gain: float) -> bool:
+    """Whether the step's first stage ``first``, its ``(points, padding,
+    clearance, tau)``, certifies that the endpoint term binds at ``pred``:
+    ``gain * (clearance - 2h - tau) > endpoint`` with h = max_i |b_i - a_i|
+    + |padding - padding_1|, or False when the point counts differ (see the
+    module docstring)."""
+    points, padding, clearance, tau = first
+    rows = pred.points.tolist()
+    if len(rows) != len(points):
+        return False
+    h = max([math.hypot(bx - ax, by - ay) for (bx, by), (ax, ay) in zip(rows, points)])
+    h += abs(pred.padding - padding)
+    return gain * (clearance - 2.0 * h - tau) > endpoint
+
+
 def governor_field(env: Environment, path: ReferencePath, params: ControllerParams,
                    method: str, config: SimConfig, s: float, x: float, y: float,
-                   th: float) -> tuple:
+                   th: float, first: Optional[tuple] = None) -> tuple:
     """Time derivative of the coupled path-parameter / robot-pose state.
 
     Returns ``(s_rate, x_rate, y_rate, th_rate, v, clearance, radius, pred)``:
@@ -92,12 +136,23 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
     parameter advances at the smaller of the clearance-driven rate and the
     endpoint pull, so it never overshoots the path end and freezes whenever
     the predicted motion touches the free-space boundary.
+
+    ``first``, the ``(points, padding, clearance, tau)`` of the step's first
+    stage, marks a later RK4 stage, whose caller reads only the rates and
+    the set: ``radius`` is then None, and so is ``clearance`` when
+    ``_endpoint_binds`` certifies that the endpoint pull binds (see the
+    module docstring); the pull is then the path rate, bit for bit what the
+    full evaluation's ``min`` returns.
     """
     goal = path.point_at(s)
     pred = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, params, config)
-    clearance = safety_distance(env, pred)
-    radius = prediction_goal_radius(pred, goal)
-    s_rate = min(config.clearance_gain * clearance, config.endpoint_gain * (path.length - s))
+    endpoint = config.endpoint_gain * (path.length - s)
+    if first is not None and _endpoint_binds(pred, first, endpoint, config.clearance_gain):
+        clearance, s_rate = None, endpoint
+    else:
+        clearance = safety_distance(env, pred)
+        s_rate = min(config.clearance_gain * clearance, endpoint)
+    radius = prediction_goal_radius(pred, goal) if first is None else None
     x_rate, y_rate, w, v = _adaptive_control(
         x, y, th, goal.x, goal.y, (params.headway_coeff, params.ref_gain, params.goal_tolerance))
     return (s_rate, x_rate, y_rate, w, v, clearance, radius, pred)
@@ -107,10 +162,9 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
 class EpisodeResult:
     """Dense episode record plus the summary quantities of interest.
 
-    The pause signals are read from the logged nodes after the run:
-    ``paused_fraction`` is the share of node intervals (steps) whose
-    first-stage path rate is exactly zero, and ``pause_intervals`` the
-    number of separate runs of such consecutive intervals.  ``summary``
+    ``clearance_bound_fraction`` is read from the logged nodes after the
+    run: the share of node intervals (steps) whose first-stage path rate is
+    below the endpoint pull, so that the clearance term binds.  ``summary``
     adds ``min_delta_f``, the least logged clearance, and ``min_delta_f_t``,
     the time of the first node that reaches it.
     """
@@ -136,8 +190,7 @@ class EpisodeResult:
     final_goal_distance: float
     governor_eval_seconds: float
     n_governor_evals: int
-    paused_fraction: float = 0.0
-    pause_intervals: int = 0
+    clearance_bound_fraction: float = 0.0
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return (self.t, self.s, self.x, self.y, self.theta, self.v, self.omega,
@@ -168,8 +221,7 @@ class EpisodeResult:
             "governor_eval_seconds": float(self.governor_eval_seconds),
             "n_governor_evals": int(self.n_governor_evals),
             "steps": int(len(self.t) - 1),
-            "paused_fraction": float(self.paused_fraction),
-            "pause_intervals": int(self.pause_intervals),
+            "clearance_bound_fraction": float(self.clearance_bound_fraction),
             "min_delta_f": float(self.delta_f[i]),
             "min_delta_f_t": float(self.t[i]),
         }
@@ -224,6 +276,12 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     ``config.max_time`` first marks the result as non-converged.  Scenarios
     whose reference path lacks positive clearance, and steps beyond RK4's
     stability limit (``require_stable_step``), are rejected outright.
+
+    Each step's first stage is a full ``governor_field`` evaluation, logged
+    with the node; stages 2-4 pass it ``first`` and get the rates only (see
+    the module docstring).  Every stage builds its prediction set and checks
+    that a forward simulation converged, and every stage counts in
+    ``n_governor_evals`` and ``governor_eval_seconds``.
     """
     require_path_clearance(path_clearance(env, path), env.robot_radius)
     if method not in METHODS:
@@ -235,14 +293,15 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     goal_end = path.point_at(path.length)
     length = path.length
     stop_tol = config.goal_tolerance
+    tau = _rounding_bound(env)
 
     eval_time = 0.0
     eval_count = 0
 
-    def field(s: float, x: float, y: float, th: float) -> tuple:
+    def field(s: float, x: float, y: float, th: float, first: Optional[tuple] = None) -> tuple:
         nonlocal eval_time, eval_count
         t0 = time.perf_counter()
-        k = governor_field(env, path, params, method, config, s, x, y, th)
+        k = governor_field(env, path, params, method, config, s, x, y, th, first)
         if not k[7].converged:
             goal = path.point_at(s)
             raise NonConvergenceError(
@@ -272,9 +331,12 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         dt = min(config.step, config.max_time - t)  # land exactly on the horizon
         half = 0.5 * dt
         sixth = dt / 6.0
-        k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3])
-        k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3])
-        k4 = field(s + dt * k3[0], x + dt * k3[1], y + dt * k3[2], th + dt * k3[3])
+        first = (k1[7].points.tolist(), k1[7].padding, k1[5], tau)
+        k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3],
+                   first)
+        k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3],
+                   first)
+        k4 = field(s + dt * k3[0], x + dt * k3[1], y + dt * k3[2], th + dt * k3[3], first)
         s += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         x += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         y += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
@@ -286,7 +348,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     ts, ss, xs, ys, ths, vs, ws, dfs, radii, rate = map(
         np.array, np.frombuffer(log).reshape(-1, 10).T)
     margins = margin_points(env, np.column_stack([xs, ys]))
-    paused = rate[:-1] == 0.0
+    bound = rate[:-1] < config.endpoint_gain * (length - ss[:-1])
     return EpisodeResult(
         method=method,
         epsilon=params.headway_coeff,
@@ -309,6 +371,5 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         final_goal_distance=dist_end,
         governor_eval_seconds=eval_time / max(1, eval_count),
         n_governor_evals=eval_count,
-        paused_fraction=float(paused.mean()) if len(paused) else 0.0,
-        pause_intervals=int(np.count_nonzero(paused[1:] & ~paused[:-1]) + paused[:1].sum()),
+        clearance_bound_fraction=float(bound.mean()) if len(bound) else 0.0,
     )

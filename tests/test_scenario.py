@@ -143,6 +143,50 @@ class TestValidation:
         data["governor"] = None
         assert scenario_from_dict(data).sim.clearance_gain == 4.0
 
+    @pytest.mark.parametrize("key", ["name", "obstacles", "initial_theta", "method",
+                                     "controller", "governor", "integrator"])
+    def test_null_optional_key_takes_its_default(self, key):
+        data = office_data()
+        data[key] = None
+        absent = office_data()
+        del absent[key]
+        assert scenario_from_dict(data) == scenario_from_dict(absent)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in (
+            ("controller", ("headway_coeff", "ref_gain", "goal_tolerance")),
+            ("governor", ("clearance_gain", "endpoint_gain")),
+            ("integrator", ("step", "max_time", "goal_tolerance", "prediction_step")))
+        for key in keys])
+    def test_null_section_key_takes_its_default(self, section, key):
+        data = office_data()
+        data.setdefault(section, {})[key] = None
+        absent = office_data()
+        absent.setdefault(section, {}).pop(key, None)
+        assert scenario_from_dict(data) == scenario_from_dict(absent)
+
+    @pytest.mark.parametrize("key", ["workspace", "robot_radius", "path"])
+    def test_null_required_key_refused_as_missing(self, key):
+        data = office_data()
+        data[key] = None
+        with pytest.raises(ScenarioValidationError) as null:
+            scenario_from_dict(data)
+        absent = office_data()
+        del absent[key]
+        with pytest.raises(ScenarioValidationError) as missing:
+            scenario_from_dict(absent)
+        assert null.value.violations == missing.value.violations == [
+            f"{key}: missing required value"]
+
+    def test_null_unknown_key_still_refused(self):
+        data = office_data()
+        data["obstacle"] = None
+        data["integrator"]["stepp"] = None
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert [v.split(":")[0] for v in err.value.violations] == [
+            "obstacle", "integrator.stepp"]
+
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):
             scenario_from_dict([1, 2, 3])

@@ -1,22 +1,33 @@
+import importlib.util
 import math
+import sys
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headway_sim import simulation
-from headway_sim.environment import ClearanceError, Environment, ReferencePath
+from headway_sim.environment import ClearanceError, Environment, ReferencePath, safety_distance
 from headway_sim.geom import Polygon, Vec2
 from headway_sim.ode import SimConfig
-from headway_sim.scenario import load_scenario
+from headway_sim.scenario import load_scenario, scenario_from_dict
 from headway_sim.simulation import (
     CSV_COLUMNS,
     METHODS,
+    _rounding_bound,
     governor_field,
+    prediction_set,
     read_trajectory_csv,
     run_episode,
 )
-from headway_sim.unicycle import ControllerParams
+from headway_sim.unicycle import ControllerParams, UnicycleState
+
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def square(side, x0=0.0, y0=0.0):
     return Polygon([Vec2(x0, y0), Vec2(x0 + side, y0),
@@ -114,7 +125,7 @@ class TestRunEpisode:
     def test_logged_columns_replay_the_governor(self):
         # each node's v, omega, delta_F and pred_radius are the first-stage
         # governor_field results at the logged s and pose, in that order
-        sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "open.yaml")
+        sc = load_scenario(ROOT / "scenarios" / "open.yaml")
         res = run_episode(sc.environment, sc.path, sc.controller, "triangle", sc.sim)
         for i in range(0, len(res.t), 50):
             k = governor_field(sc.environment, sc.path, sc.controller, "triangle", sc.sim,
@@ -219,23 +230,204 @@ class TestCompareMethods:
 class TestPauseSignals:
     def test_open_triangle_pause_window(self, monkeypatch):
         # clearance forced to zero for evaluations 100-199, the four stages
-        # of steps 25-49: the path parameter stands still for 25 node
-        # intervals, one pause, and resumes
-        sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "open.yaml")
-        calls = []
-        real = simulation.safety_distance
+        # of steps 25-49 (each evaluation builds one prediction set): the
+        # path parameter stands still for 25 node intervals and resumes, and
+        # the clearance term binds on each of them
+        sc = load_scenario(ROOT / "scenarios" / "open.yaml")
+        evals = []
+        real_set, real_clearance = simulation.prediction_set, simulation.safety_distance
+
+        def counted(*args):
+            evals.append(None)
+            return real_set(*args)
 
         def windowed(env, pred):
-            calls.append(None)
-            return 0.0 if 100 < len(calls) <= 200 else real(env, pred)
+            return 0.0 if 100 < len(evals) <= 200 else real_clearance(env, pred)
 
+        monkeypatch.setattr(simulation, "prediction_set", counted)
         monkeypatch.setattr(simulation, "safety_distance", windowed)
         res = run_episode(sc.environment, sc.path, sc.controller, "triangle", sc.sim)
         summary = res.summary()
-        steps = len(res.t) - 1
         assert res.converged
-        assert summary["pause_intervals"] == 1
-        assert summary["paused_fraction"] == 25 / steps
         assert summary["min_delta_f"] == 0.0 and summary["min_delta_f_t"] == res.t[25]
         assert np.all(res.s[25:51] == res.s[25])
         assert res.s[24] < res.s[25] < res.s[51]
+        # the share of steps whose logged clearance rate is below the
+        # endpoint pull, the window's 25 among them
+        bound = (sc.sim.clearance_gain * res.delta_f[:-1]
+                 < sc.sim.endpoint_gain * (sc.path.length - res.s[:-1]))
+        assert bound[25:50].all()
+        assert summary["clearance_bound_fraction"] == bound.mean()
+        assert "paused_fraction" not in summary and "pause_intervals" not in summary
+
+    def test_reads_across_shipped_scenes(self):
+        # the clearance term binds on a tenth of open/triangle's steps and
+        # on most of office/circle's
+        fractions = {}
+        for scene, method in (("open", "triangle"), ("office", "circle")):
+            sc = load_scenario(ROOT / "scenarios" / f"{scene}.yaml")
+            res = run_episode(sc.environment, sc.path, sc.controller, method, sc.sim)
+            fractions[scene] = res.summary()["clearance_bound_fraction"]
+        assert 0.05 < fractions["open"] < 0.2 and 0.8 < fractions["office"] < 0.95
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def certificate_scenes():
+    oracle = _load_bench("oracle")
+    with mock.patch.dict(sys.modules, {"oracle": oracle}):  # scenes.py imports it
+        scenes = _load_bench("scenes")
+    return {"office": load_scenario(ROOT / "scenarios" / "office.yaml"),
+            "cluttered": scenario_from_dict(scenes.cluttered_scene(1))}
+
+
+def _spread(p1, p2):
+    """The certificate's h: the largest distance between points of the same
+    index plus the difference of the paddings."""
+    return (float(np.hypot(*(p2.points - p1.points).T).max())
+            + abs(p2.padding - p1.padding))
+
+
+_unit = st.floats(0.0, 1.0)
+_nudge = st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2), st.floats(-1e-6, 1e-6))
+
+
+class TestStageCertificate:
+    """Stages 2-4 of a step skip their clearance query when the first
+    stage's set certifies that the endpoint pull binds (module docstring of
+    ``simulation``)."""
+
+    @pytest.mark.parametrize("name", ["office", "cluttered"])
+    @pytest.mark.parametrize("method", ["circle", "triangle"])
+    @settings(max_examples=150, deadline=None)
+    @given(at=_unit, offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           th=st.floats(-math.pi, math.pi), nudge=st.tuples(_nudge, _nudge, _nudge, _nudge),
+           ulp=st.booleans())
+    def test_clearance_bound_is_sound(self, certificate_scenes, name, method, at, offset,
+                                      th, nudge, ulp):
+        # nearby states, or states one ulp apart in every coordinate; all
+        # nudges 0 gives h = 0
+        sc = certificate_scenes[name]
+        env, path = sc.environment, sc.path
+        s = at * path.length
+        goal = path.point_at(s)
+        x, y = goal.x + offset[0], goal.y + offset[1]
+        if ulp:
+            s2, x2, y2, th2 = (math.nextafter(v, math.inf) for v in (s, x, y, th))
+        else:
+            s2, x2, y2, th2 = (v + d for v, d in zip((s, x, y, th), nudge))
+        p1 = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, sc.controller,
+                            sc.sim)
+        p2 = prediction_set(method, UnicycleState(Vec2(x2, y2), th2), path.point_at(s2),
+                            sc.controller, sc.sim)
+        clearance, tau = safety_distance(env, p1), _rounding_bound(env)
+        bound = clearance - 2.0 * _spread(p1, p2) - tau
+        assert bound <= 0.0 or safety_distance(env, p2) >= bound
+        # the run's certificate is this bound: it passes an endpoint pull
+        # just below it and refuses one just above
+        first = (p1.points.tolist(), p1.padding, clearance, tau)
+        gain = sc.sim.clearance_gain
+        assert simulation._endpoint_binds(p2, first, gain * bound - 1e-9, gain)
+        assert not simulation._endpoint_binds(p2, first, gain * bound + 1e-9, gain)
+
+    def test_rounding_bound_scales_with_the_scene(self):
+        env = Environment(Polygon([Vec2(3, 4), Vec2(6, 4), Vec2(6, 8), Vec2(3, 8)]), [], 0.1)
+        # the box of the workspace and the origin: (0, 0) to (6, 8)
+        assert _rounding_bound(env) == 1e-9 * 10.0
+
+
+def _reference_episode(env, path, params, method, config):
+    """``run_episode``'s loop as it was before the stage certificate: the
+    full ``governor_field`` at every stage.  Returns the node columns up to
+    ``pred_radius``, the final time, the evaluation count and whether the
+    run converged."""
+    goal_end = path.point_at(path.length)
+    x, y, th = path.point_at(0.0).x, path.point_at(0.0).y, simulation._default_initial_theta(path)
+    t = s = 0.0
+    log = array("d")
+    evals = 0
+    converged = False
+
+    def field(*state):
+        nonlocal evals
+        evals += 1
+        return governor_field(env, path, params, method, config, *state)
+
+    while True:
+        k1 = field(s, x, y, th)
+        log.extend((t, s, x, y, th, k1[4], k1[3], k1[5], k1[6]))
+        dist_end = math.hypot(goal_end.x - x, goal_end.y - y)
+        if path.length - s <= config.goal_tolerance and dist_end <= config.goal_tolerance:
+            converged = True
+            break
+        if t >= config.max_time - 1e-12:
+            break
+        dt = min(config.step, config.max_time - t)
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3])
+        k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3])
+        k4 = field(s + dt * k3[0], x + dt * k3[1], y + dt * k3[2], th + dt * k3[3])
+        s += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        x += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        y += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        th += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+        s = min(max(s, 0.0), path.length)
+        t += dt
+    return np.frombuffer(log).reshape(-1, 9).T, t, evals, converged
+
+
+def _short_forward_sim_case():
+    env = Environment(square(10), [Polygon([Vec2(3, 6), Vec2(5, 6), Vec2(5, 7), Vec2(3, 7)])],
+                      robot_radius=0.5)
+    path = ReferencePath([Vec2(2, 5), Vec2(5, 5)])
+    params = ControllerParams(headway_coeff=0.5, ref_gain=1.0, goal_tolerance=1e-4)
+    config = SimConfig(step=0.01, max_time=40.0, goal_tolerance=2e-4, prediction_step=0.05)
+    return env, path, params, config
+
+
+class TestStagesMatchFullEvaluations:
+    """``run_episode`` with the stage certificate equals, bit for bit, the
+    loop that runs the full governor at every stage, while later stages
+    make fewer clearance queries and no goal-radius calls."""
+
+    @pytest.mark.parametrize("case", ["open/triangle", "office/circle", "short/forward-sim"])
+    def test_identical_to_full_evaluations(self, case, monkeypatch):
+        scene, method = case.split("/")
+        if scene == "short":
+            env, path, params, config = _short_forward_sim_case()
+        else:
+            sc = load_scenario(ROOT / "scenarios" / f"{scene}.yaml")
+            env, path, params, config = sc.environment, sc.path, sc.controller, sc.sim
+        columns, t, evals, converged = _reference_episode(env, path, params, method, config)
+
+        counts = {"safety_distance": 0, "prediction_goal_radius": 0}
+        for name in counts:
+            real = getattr(simulation, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(simulation, name, counted)
+        res = run_episode(env, path, params, method, config)
+
+        assert res.converged == converged and res.travel_time == t
+        assert res.n_governor_evals == evals
+        for got, want in zip(res.columns(), columns):
+            assert got.tobytes() == want.tobytes()
+        nodes = len(res.t)
+        later = evals - nodes  # three stages a step
+        assert counts["prediction_goal_radius"] == nodes
+        # each node's first stage queries and some later stages skip; on
+        # open/triangle, where the endpoint pull binds on nine steps in
+        # ten, more than three quarters of them skip
+        assert nodes <= counts["safety_distance"] < evals
+        if case == "open/triangle":
+            assert counts["safety_distance"] < nodes + 0.25 * later
