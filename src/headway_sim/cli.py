@@ -151,8 +151,13 @@ def cmd_run(args) -> int:
     scenario = _load(args)
     out = _out_dir(args) / f"{scenario.name}_{scenario.method}"
     out.mkdir(exist_ok=True)  # an unusable --out is refused before the run
-    result = run_episode(scenario.environment, scenario.path, scenario.controller,
-                         scenario.method, scenario.sim, scenario.initial_theta)
+    try:
+        result = run_episode(scenario.environment, scenario.path, scenario.controller,
+                             scenario.method, scenario.sim, scenario.initial_theta)
+    except NonConvergenceError as exc:
+        if exc.result is not None:  # the nodes before the fault, as a max_time exit writes
+            _write_episode(scenario, exc.result, out)
+        raise
     _write_episode(scenario, result, out)
     summary = result.summary()
     print(f"{scenario.name} [{scenario.method}] converged={summary['converged']} "
@@ -239,6 +244,10 @@ def cmd_render(args) -> int:
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    # the first half of the trajectory cases start goal-aligned, and
+    # aligned-forward-motion needs one of them
+    if args.trajectories < 2:
+        raise ValueError(f"--trajectories must be at least 2, got {args.trajectories}")
     results = run_all(args.seed, trajectories=args.trajectories, samples=args.samples)
     for res in results:
         print(res.line())

@@ -20,8 +20,10 @@ radius plus the padding from every edge.  A filled set's edges then get
 the strict-sign crossing test alone: a touch that ``geom._meet``'s box
 tests would add puts a set vertex on a boundary edge or a boundary vertex
 on a set edge, its distance is at rounding level, and ``max(0, distance -
-radius - padding)`` maps it to 0.0 as well.  ``path_clearance`` reports
-depths below zero and keeps the full ``_meet``.
+radius - padding)`` maps it to 0.0 as well.  A caller that certifies the
+set's free side (``free_side``) skips the parity, the crossings and the
+probe.  ``path_clearance`` reports depths below zero and keeps the full
+``_meet``.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def safety_distance(env: Environment, pred: PredictionSet) -> float:
+def safety_distance(env: Environment, pred: PredictionSet, free_side: bool = False) -> float:
     """Minimum clearance of a prediction set; exactly zero when it exits
     the free space.
 
@@ -185,12 +187,17 @@ def safety_distance(env: Environment, pred: PredictionSet) -> float:
     probe; then the least of the point/edge and reverse distances.  A
     collinear triangle holds a boundary vertex only on an edge, where the
     reverse distance is at rounding level.
+
+    ``free_side`` is the caller's certificate that the set lies on the free
+    side with no boundary point in it, so that the parity, the crossings
+    and the probe would all pass: they are skipped, and the gate and the
+    distances alone give the clearance (``simulation``'s side certificate).
     """
     pts = pred.points
     w, sq = _grid(env, pts)
     least = sq.min()
     margin = math.sqrt(least) - env.robot_radius - pred.padding
-    if margin <= 0.0 or _wrong_side(env, pts, w).any():
+    if margin <= 0.0 or not free_side and _wrong_side(env, pts, w).any():
         return 0.0
     if not pred.filled:
         return margin
@@ -200,15 +207,16 @@ def safety_distance(env: Environment, pred: PredictionSet) -> float:
     edges = np.array([sx, sy, [-q if q > 0.0 else -math.inf
                                for q in (u * u + v * v for u, v in zip(sx, sy))]])
     sd = edges[:2, :, None]
-    o_pts, o_edge = _orientations(w, env._d, sd, slice(None))
-    if _crossings(slice(None), _NEXT_VERTEX, env._next_edge, o_pts, o_edge).any():
-        return 0.0
-    area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    # a boundary vertex in the closed triangle has no o_edge of the wrong sign
-    if area2 > 0.0 and o_edge.min(axis=0).max() >= 0.0:
-        return 0.0
-    if area2 < 0.0 and o_edge.max(axis=0).min() <= 0.0:
-        return 0.0
+    if not free_side:
+        o_pts, o_edge = _orientations(w, env._d, sd, slice(None))
+        if _crossings(slice(None), _NEXT_VERTEX, env._next_edge, o_pts, o_edge).any():
+            return 0.0
+        area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        # a boundary vertex in the closed triangle has no o_edge of the wrong sign
+        if area2 > 0.0 and o_edge.min(axis=0).max() >= 0.0:
+            return 0.0
+        if area2 < 0.0 and o_edge.max(axis=0).min() <= 0.0:
+            return 0.0
     # the reverse grid is -w; dividing by -safe instead negates t exactly
     rev = _grid_sq_distance(w, env._a, pts.T[:, :, None], sd, edges[2, :, None])
     return max(0.0, math.sqrt(min(least, rev.min())) - env.robot_radius - pred.padding)

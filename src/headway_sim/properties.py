@@ -618,5 +618,5 @@ def run_all(seed: int = 0, trajectories: int = 200,
         check_branch_continuity(seed),
         check_distance_lipschitz(seed),
         check_rk4_order(),
-        check_nonholonomic_exact(seed),
+        check_nonholonomic_exact(seed, samples),
     ]

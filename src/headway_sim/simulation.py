@@ -11,21 +11,37 @@ current path point.
 ``run_episode`` integrates the loop with RK4.  The first stage of each step
 is a full ``governor_field`` evaluation: its clearance and goal radius are
 logged with the node.  The three later stages feed only their rates to the
-integrator, so they compute no goal radius, and they skip the clearance
-query when the first stage certifies that the endpoint pull binds.  The
-certificate: the later stage's set has the same number of points as the
-first stage's; with h the largest distance between points of the same index
-plus the difference of the paddings, each set lies within h of the other (a
-disk's center, a filled triangle's point of the same barycentric weights),
-and clearance, a distance to the free-space complement, moves by at most
-h.  So when ``clearance_gain * (clearance_1 - 2h - tau) > endpoint_gain *
-(length - s)``, the clearance rate is above the endpoint pull and ``min``
-would return the endpoint pull: the stage returns it directly, and every
-output is unchanged.  The test takes twice the bound h as a margin, and
-``tau`` (``_rounding_bound``) lies orders of magnitude above the rounding of
-either computed clearance: without it, one stage of the shipped
-open/triangle run computed a clearance 2.2e-16 m below ``clearance_1 - h``.
-Forward-sim sets whose inner runs differ in length get no certificate.
+integrator, so they compute no goal radius, and the first stage's set
+certifies two things that shorten their clearance query.  The later stage's
+set has the same number of points as the first stage's; m is the largest
+distance between points of the same index, and each set lies within m of
+the other (a disk's center, a filled triangle's point of the same
+barycentric weights).  ``tau`` (``_rounding_bound``) lies orders of
+magnitude above the rounding of any computed clearance.
+
+* The endpoint pull binds.  With h = m plus the difference of the
+  paddings, clearance, a distance to the free-space complement, moves by at
+  most h.  So when ``clearance_gain * (clearance_1 - 2h - tau) >
+  endpoint_gain * (length - s)``, the clearance rate is above the endpoint
+  pull and ``min`` would return the endpoint pull: the stage returns it
+  directly and makes no query.  The test takes twice the bound h as a
+  margin, and needs ``tau``: without it, one stage of the shipped
+  open/triangle run computed a clearance 2.2e-16 m below ``clearance_1 -
+  h``.
+* The set is on the free side.  When ``clearance_1 > 0`` and ``m + tau <
+  clearance_1 + robot_radius + padding_1``, every point of the first set
+  lies farther than ``m + tau`` from the boundary, so the segment joining
+  it to its partner in the later set cannot reach the boundary: the later
+  set lies on the free side and holds no boundary point.  Its query skips
+  the crossing parity, the edge crossings and the swallowed-vertex probe,
+  which would all pass, and runs only the margin gate and the distances.
+  The guard ``clearance_1 > 0`` is required: a first set on the wrong side
+  reports 0.0, and the bound alone would then carry a later stage inside
+  an obstacle to a positive clearance.
+
+Either way every output is unchanged.  Stage 1 stays a full query every
+step, so no certificate reaches across steps.  Forward-sim sets whose inner
+runs differ in length get no certificate.
 """
 
 from __future__ import annotations
@@ -85,7 +101,11 @@ class NonConvergenceError(Exception):
 
     Should be unreachable with valid parameters; it indicates an
     integration or configuration fault rather than a controller failure.
+    ``run_episode`` sets ``result`` to the non-converged ``EpisodeResult`` of
+    the nodes logged before the fault; it stays None when there are none.
     """
+
+    result: Optional["EpisodeResult"] = None
 
 
 def prediction_set(method: str, state: UnicycleState, goal: Vec2,
@@ -110,19 +130,23 @@ def _rounding_bound(env: Environment) -> float:
     return 1e-9 * math.hypot(*(hi - lo).tolist())
 
 
-def _endpoint_binds(pred: PredictionSet, first: tuple, endpoint: float, gain: float) -> bool:
-    """Whether the step's first stage ``first``, its ``(points, padding,
-    clearance, tau)``, certifies that the endpoint term binds at ``pred``:
-    ``gain * (clearance - 2h - tau) > endpoint`` with h = max_i |b_i - a_i|
-    + |padding - padding_1|, or False when the point counts differ (see the
-    module docstring)."""
+def _certificates(pred: PredictionSet, first: tuple, endpoint: float, gain: float,
+                  robot_radius: float) -> tuple[bool, bool]:
+    """What the step's first stage ``first``, its ``(points, padding,
+    clearance, tau)``, certifies at ``pred`` (see the module docstring):
+    whether the endpoint term binds, ``gain * (clearance - 2h - tau) >
+    endpoint`` with h = m + |padding - padding_1|, and whether ``pred`` lies
+    on the free side, ``clearance > 0`` and ``m + tau < clearance +
+    robot_radius + padding_1``; m = max_i |b_i - a_i|.  Neither holds when
+    the point counts differ."""
     points, padding, clearance, tau = first
     rows = pred.points.tolist()
     if len(rows) != len(points):
-        return False
-    h = max([math.hypot(bx - ax, by - ay) for (bx, by), (ax, ay) in zip(rows, points)])
-    h += abs(pred.padding - padding)
-    return gain * (clearance - 2.0 * h - tau) > endpoint
+        return False, False
+    m = max([math.hypot(bx - ax, by - ay) for (bx, by), (ax, ay) in zip(rows, points)])
+    h = m + abs(pred.padding - padding)
+    return (gain * (clearance - 2.0 * h - tau) > endpoint,
+            clearance > 0.0 and m + tau < clearance + robot_radius + padding)
 
 
 def governor_field(env: Environment, path: ReferencePath, params: ControllerParams,
@@ -140,17 +164,22 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
     ``first``, the ``(points, padding, clearance, tau)`` of the step's first
     stage, marks a later RK4 stage, whose caller reads only the rates and
     the set: ``radius`` is then None, and so is ``clearance`` when
-    ``_endpoint_binds`` certifies that the endpoint pull binds (see the
+    ``_certificates`` certifies that the endpoint pull binds (see the
     module docstring); the pull is then the path rate, bit for bit what the
-    full evaluation's ``min`` returns.
+    full evaluation's ``min`` returns.  Otherwise a certified free side
+    lets the clearance query skip its side tests.
     """
     goal = path.point_at(s)
     pred = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, params, config)
     endpoint = config.endpoint_gain * (path.length - s)
-    if first is not None and _endpoint_binds(pred, first, endpoint, config.clearance_gain):
+    binds = free_side = False
+    if first is not None:
+        binds, free_side = _certificates(pred, first, endpoint, config.clearance_gain,
+                                         env.robot_radius)
+    if binds:
         clearance, s_rate = None, endpoint
     else:
-        clearance = safety_distance(env, pred)
+        clearance = safety_distance(env, pred, free_side)
         s_rate = min(config.clearance_gain * clearance, endpoint)
     radius = prediction_goal_radius(pred, goal) if first is None else None
     x_rate, y_rate, w, v = _adaptive_control(
@@ -281,7 +310,8 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     with the node; stages 2-4 pass it ``first`` and get the rates only (see
     the module docstring).  Every stage builds its prediction set and checks
     that a forward simulation converged, and every stage counts in
-    ``n_governor_evals`` and ``governor_eval_seconds``.
+    ``n_governor_evals`` and ``governor_eval_seconds``.  A
+    ``NonConvergenceError`` carries the result of the nodes logged before it.
     """
     require_path_clearance(path_clearance(env, path), env.robot_radius)
     if method not in METHODS:
@@ -304,20 +334,56 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         k = governor_field(env, path, params, method, config, s, x, y, th, first)
         if not k[7].converged:
             goal = path.point_at(s)
-            raise NonConvergenceError(
+            exc = NonConvergenceError(
                 f"forward simulation from t={t:.3f}s failed to reach the path point "
                 f"within its contraction budget; stage pose x={x:.4f} y={y:.4f} "
                 f"theta={th:.4f}, path point s={s:.4f} at ({goal.x:.4f}, {goal.y:.4f})")
+            if log:  # the nodes logged before the fault
+                exc.result = result(converged=False)
+            raise exc
         eval_time += time.perf_counter() - t0
         eval_count += 1
         return k
 
-    t = 0.0
-    s = 0.0
-    x, y, th = start.x, start.y, theta0
     # one row of C doubles a node: the CSV columns up to pred_radius, then
     # the node's first-stage path rate
     log = array("d")
+
+    def result(converged: bool) -> EpisodeResult:
+        # a contiguous copy of each column, so no result array holds the rates
+        ts, ss, xs, ys, ths, vs, ws, dfs, radii, rate = map(
+            np.array, np.frombuffer(log).reshape(-1, 10).T)
+        margins = margin_points(env, np.column_stack([xs, ys]))
+        bound = rate[:-1] < config.endpoint_gain * (length - ss[:-1])
+        return EpisodeResult(
+            method=method,
+            epsilon=params.headway_coeff,
+            t=ts,
+            s=ss,
+            x=xs,
+            y=ys,
+            theta=ths,
+            v=vs,
+            omega=ws,
+            delta_f=dfs,
+            pred_radius=radii,
+            margin=margins,
+            converged=converged,
+            travel_time=float(ts[-1]),
+            min_margin=float(margins.min()),
+            avg_speed=float(np.mean(np.abs(vs))),
+            collision_flag=bool(margins.min() < 0.0),
+            peak_angular_rate=float(np.max(np.abs(ws))),
+            final_goal_distance=math.hypot(goal_end.x - float(xs[-1]),
+                                           goal_end.y - float(ys[-1])),
+            governor_eval_seconds=eval_time / max(1, eval_count),
+            n_governor_evals=eval_count,
+            clearance_bound_fraction=float(bound.mean()) if len(bound) else 0.0,
+        )
+
+    t = 0.0
+    s = 0.0
+    x, y, th = start.x, start.y, theta0
     converged = False
     while True:
         k1 = field(s, x, y, th)
@@ -343,33 +409,4 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         th += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
         s = min(max(s, 0.0), length)  # guard the parameter range against overshoot
         t += dt
-
-    # a contiguous copy of each column, so no result array holds the rates
-    ts, ss, xs, ys, ths, vs, ws, dfs, radii, rate = map(
-        np.array, np.frombuffer(log).reshape(-1, 10).T)
-    margins = margin_points(env, np.column_stack([xs, ys]))
-    bound = rate[:-1] < config.endpoint_gain * (length - ss[:-1])
-    return EpisodeResult(
-        method=method,
-        epsilon=params.headway_coeff,
-        t=ts,
-        s=ss,
-        x=xs,
-        y=ys,
-        theta=ths,
-        v=vs,
-        omega=ws,
-        delta_f=dfs,
-        pred_radius=radii,
-        margin=margins,
-        converged=converged,
-        travel_time=t,
-        min_margin=float(margins.min()),
-        avg_speed=float(np.mean(np.abs(vs))),
-        collision_flag=bool(margins.min() < 0.0),
-        peak_angular_rate=float(np.max(np.abs(ws))),
-        final_goal_distance=dist_end,
-        governor_eval_seconds=eval_time / max(1, eval_count),
-        n_governor_evals=eval_count,
-        clearance_bound_fraction=float(bound.mean()) if len(bound) else 0.0,
-    )
+    return result(converged)

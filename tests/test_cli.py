@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from headway_sim import cli
+from headway_sim import cli, simulation
 from headway_sim.cli import (
     EXIT_CLEARANCE,
     EXIT_COLLISION,
@@ -18,7 +18,8 @@ from headway_sim.cli import (
     _episode_exit,
     main,
 )
-from headway_sim.simulation import EpisodeResult
+from headway_sim.prediction import PredictionSet
+from headway_sim.simulation import EpisodeResult, read_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -157,6 +158,31 @@ class TestRun:
         assert code == EXIT_NONCONVERGENCE
         for name in ("trajectory.csv", "summary.yaml", "trajectory.svg"):
             assert (out / "corridor_forward-sim" / name).exists()
+
+    def test_inner_budget_fault_writes_the_logged_nodes(self, corridor, tmp_path, capsys,
+                                                        monkeypatch):
+        # a forward simulation that fails at stage 1 of node 10 (the 41st
+        # prediction set) ends the run with exit 3 and the ten nodes before
+        # it written, as a max_time exit writes them
+        real, calls = simulation.forward_sim_prediction, []
+
+        def failing(*args):
+            calls.append(None)
+            hull = real(*args)
+            return PredictionSet(hull.points, hull.padding, converged=len(calls) <= 40)
+
+        monkeypatch.setattr(simulation, "forward_sim_prediction", failing)
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(corridor), "--method", "forward-sim",
+                     "--out", str(out)])
+        assert code == EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err.startswith("non-convergence: forward simulation")
+        run = out / "corridor_forward-sim"
+        for name in ("trajectory.csv", "summary.yaml", "trajectory.svg"):
+            assert (run / name).exists()
+        assert len(read_trajectory_csv(run / "trajectory.csv")["t"]) == 10
+        summary = yaml.safe_load((run / "summary.yaml").read_text())
+        assert summary["converged"] is False and summary["n_governor_evals"] == 40
 
     @pytest.mark.parametrize("dt", ["5", "1e300"])
     def test_oversized_step_refused(self, dt, tmp_path, capsys):
@@ -433,6 +459,25 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+
+    @pytest.mark.parametrize("trajectories", ["1", "0", "-2"])
+    def test_trajectories_below_two_refused(self, trajectories, capsys, monkeypatch):
+        # the first half of the cases start goal-aligned; below 2 there is
+        # none, and aligned-forward-motion used to fail as if the controller had
+        monkeypatch.setattr(cli, "run_all", _must_not_run)
+        code = main(["check", "--trajectories", trajectories])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --trajectories must be at least 2, "
+                                f"got {trajectories}\n")
+
+    def test_samples_size_every_sampled_suite(self, capsys):
+        code = main(["check", "--trajectories", "2", "--samples", "10"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert "PASS  nonholonomic-exact: 10 samples, constraint holds exactly" in lines
+        assert "aligned-forward-motion: 1 aligned trajectories" in "\n".join(lines)
 
     def test_quick_suite_passes(self, capsys):
         code = main(["check", "--seed", "5", "--trajectories", "8",

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headway_sim import simulation
+from headway_sim import environment, simulation
 from headway_sim.environment import ClearanceError, Environment, ReferencePath, safety_distance
-from headway_sim.geom import Polygon, Vec2
+from headway_sim.geom import _BLOCK_PAIRS, Polygon, Vec2
 from headway_sim.ode import SimConfig
+from headway_sim.prediction import Disk, PredictionSet, Tri
 from headway_sim.scenario import load_scenario, scenario_from_dict
 from headway_sim.simulation import (
     CSV_COLUMNS,
@@ -156,6 +157,41 @@ class TestRunEpisode:
                                  r"path point s=0\.0000 at \(2\.0000, 5\.0000\)"):
             run_episode(env, path, params, "forward-sim", config)
 
+    def test_inner_budget_fault_keeps_the_logged_nodes(self, simple_setup, monkeypatch):
+        # the 41st prediction set is stage 1 of node 10: nodes 0-9 are
+        # logged, as a run without the fault logs them, and the partial
+        # result is not converged
+        env, path, params, _ = simple_setup
+        config = SimConfig(step=0.01, max_time=0.2, goal_tolerance=2e-4)
+        full = run_episode(env, path, params, "forward-sim", config)
+        real, calls = simulation.forward_sim_prediction, []
+
+        def failing(*args):
+            calls.append(None)
+            hull = real(*args)
+            return PredictionSet(hull.points, hull.padding, converged=len(calls) <= 40)
+
+        monkeypatch.setattr(simulation, "forward_sim_prediction", failing)
+        with pytest.raises(simulation.NonConvergenceError, match=r"from t=0\.100s") as info:
+            run_episode(env, path, params, "forward-sim", config)
+        partial = info.value.result
+        assert not partial.converged and partial.n_governor_evals == 40
+        assert len(partial.t) == 10 and partial.travel_time == full.t[9]
+        for got, want in zip(partial.columns(), full.columns()):
+            assert got.tobytes() == want[:10].tobytes()
+
+    def test_inner_budget_fault_at_the_start_has_no_result(self, simple_setup, monkeypatch):
+        real = simulation.forward_sim_prediction
+
+        def failing(*args):
+            hull = real(*args)
+            return PredictionSet(hull.points, hull.padding, converged=False)
+
+        monkeypatch.setattr(simulation, "forward_sim_prediction", failing)
+        with pytest.raises(simulation.NonConvergenceError) as info:
+            run_episode(*simple_setup[:3], "forward-sim", simple_setup[3])
+        assert info.value.result is None
+
     def test_initial_theta_defaults_to_path_direction(self, simple_setup):
         env, path, params, config = simple_setup
         result = run_episode(env, path, params, "circle", config)
@@ -241,8 +277,8 @@ class TestPauseSignals:
             evals.append(None)
             return real_set(*args)
 
-        def windowed(env, pred):
-            return 0.0 if 100 < len(evals) <= 200 else real_clearance(env, pred)
+        def windowed(env, pred, free_side=False):
+            return 0.0 if 100 < len(evals) <= 200 else real_clearance(env, pred, free_side)
 
         monkeypatch.setattr(simulation, "prediction_set", counted)
         monkeypatch.setattr(simulation, "safety_distance", windowed)
@@ -300,7 +336,8 @@ _nudge = st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2), st.floats(-1e-6, 1e-6))
 
 class TestStageCertificate:
     """Stages 2-4 of a step skip their clearance query when the first
-    stage's set certifies that the endpoint pull binds (module docstring of
+    stage's set certifies that the endpoint pull binds, and the query's side
+    tests when it certifies the free side (module docstring of
     ``simulation``)."""
 
     @pytest.mark.parametrize("name", ["office", "cluttered"])
@@ -332,9 +369,101 @@ class TestStageCertificate:
         # the run's certificate is this bound: it passes an endpoint pull
         # just below it and refuses one just above
         first = (p1.points.tolist(), p1.padding, clearance, tau)
-        gain = sc.sim.clearance_gain
-        assert simulation._endpoint_binds(p2, first, gain * bound - 1e-9, gain)
-        assert not simulation._endpoint_binds(p2, first, gain * bound + 1e-9, gain)
+        gain, radius = sc.sim.clearance_gain, env.robot_radius
+        assert simulation._certificates(p2, first, gain * bound - 1e-9, gain, radius)[0]
+        assert not simulation._certificates(p2, first, gain * bound + 1e-9, gain, radius)[0]
+
+    @pytest.mark.parametrize("name", ["office", "cluttered"])
+    @pytest.mark.parametrize("method", ["circle", "triangle"])
+    @settings(max_examples=150, deadline=None)
+    @given(at=_unit, anywhere=st.one_of(st.none(), st.tuples(_unit, _unit)),
+           offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           th=st.floats(-math.pi, math.pi),
+           nudge=st.tuples(*[st.one_of(_nudge, st.floats(-1.0, 1.0))] * 5))
+    def test_free_side_is_sound(self, certificate_scenes, name, method, at, anywhere,
+                                offset, th, nudge):
+        # goals on the path, or anywhere in the scene's box grown by half
+        # its size on each side, so that many first sets are on the wrong
+        # side; the later goal moves with the path parameter or by a nudge,
+        # and nudges up to 1 m reach past the certified distance
+        sc = certificate_scenes[name]
+        env, path = sc.environment, sc.path
+        if anywhere is None:
+            s = at * path.length
+            goal, goal2 = path.point_at(s), path.point_at(s + nudge[4])
+        else:
+            lo, hi = env.workspace.xy.min(axis=0), env.workspace.xy.max(axis=0)
+            gx, gy = (lo + (np.array(anywhere) * 2.0 - 0.5) * (hi - lo)).tolist()
+            goal, goal2 = Vec2(gx, gy), Vec2(gx + nudge[4], gy - nudge[3])
+        x, y = goal.x + offset[0], goal.y + offset[1]
+        p1 = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, sc.controller, sc.sim)
+        p2 = prediction_set(method, UnicycleState(Vec2(x + nudge[0], y + nudge[1]),
+                                                  th + nudge[2]),
+                            goal2, sc.controller, sc.sim)
+        clearance = safety_distance(env, p1)
+        first = (p1.points.tolist(), p1.padding, clearance, _rounding_bound(env))
+        free = simulation._certificates(p2, first, 0.0, sc.sim.clearance_gain,
+                                        env.robot_radius)[1]
+        if free:
+            assert safety_distance(env, p2, True).hex() == safety_distance(env, p2).hex()
+        # a first set on the wrong side or at the boundary never certifies
+        assert clearance > 0.0 or not free
+
+    @pytest.mark.parametrize("name", ["office", "cluttered"])
+    @pytest.mark.parametrize("method", ["circle", "triangle"])
+    @settings(max_examples=150, deadline=None)
+    @given(anywhere=st.tuples(_unit, _unit),
+           offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           th=st.floats(-math.pi, math.pi), heading=st.floats(-math.pi, math.pi),
+           reach=st.one_of(st.floats(0.0, 2.0), st.floats(0.999, 1.0)))
+    def test_free_side_is_sound_at_its_bound(self, certificate_scenes, name, method,
+                                             anywhere, offset, th, heading, reach):
+        # the later set is the first one moved by ``reach`` times the
+        # distance its points keep from the boundary, d = clearance_1 +
+        # robot_radius + padding_1: up to d the move is certified and may
+        # end a rounding allowance from the boundary, beyond it the set
+        # may cross
+        sc = certificate_scenes[name]
+        env = sc.environment
+        lo, hi = env.workspace.xy.min(axis=0), env.workspace.xy.max(axis=0)
+        gx, gy = (lo + (np.array(anywhere) * 2.0 - 0.5) * (hi - lo)).tolist()
+        p1 = prediction_set(method, UnicycleState(Vec2(gx + offset[0], gy + offset[1]), th),
+                            Vec2(gx, gy), sc.controller, sc.sim)
+        clearance, tau = safety_distance(env, p1), _rounding_bound(env)
+        move = reach * (clearance + env.robot_radius + p1.padding)
+        moved = p1.points + [move * math.cos(heading), move * math.sin(heading)]
+        p2 = Tri(moved) if p1.filled else PredictionSet(moved, p1.padding)
+        first = (p1.points.tolist(), p1.padding, clearance, tau)
+        free = simulation._certificates(p2, first, 0.0, sc.sim.clearance_gain,
+                                        env.robot_radius)[1]
+        if free:
+            assert safety_distance(env, p2, True).hex() == safety_distance(env, p2).hex()
+        # d >= robot_radius, so tau / d < 1e-7: the certificate holds for
+        # every move below d but the last part in a million, and no further
+        if abs(reach - 1.0) > 1e-6:
+            assert free == (clearance > 0.0 and reach < 1.0)
+
+    @pytest.mark.parametrize("method", ["circle", "triangle"])
+    def test_wrong_side_first_stage_never_certifies(self, certificate_scenes, method):
+        # office's first obstacle spans x 3.0-3.8: a point at its middle
+        # lies 0.4 m inside, deeper than the 0.3 m robot radius, and the
+        # triangle's long edge crosses it with every vertex 0.5 m clear.
+        # Both sets report clearance 0.0, and the later set, 0.01 m away,
+        # lies within robot_radius + padding_1 of it; without the guard
+        # clearance_1 > 0 it would certify, and its shortened query would
+        # report a positive clearance
+        env = certificate_scenes["office"].environment
+        if method == "circle":
+            p1, p2 = Disk(Vec2(3.4, 3.2), 0.0), Disk(Vec2(3.41, 3.2), 0.0)
+        else:
+            p1 = Tri([[2.5, 1.0], [4.3, 1.0], [2.5, 1.2]])
+            p2 = Tri([[2.5, 1.01], [4.3, 1.01], [2.5, 1.21]])
+        clearance, tau = safety_distance(env, p1), _rounding_bound(env)
+        assert clearance == 0.0 == safety_distance(env, p2)
+        assert 0.01 + tau < env.robot_radius + p1.padding
+        assert safety_distance(env, p2, True) > 0.0
+        first = (p1.points.tolist(), p1.padding, clearance, tau)
+        assert simulation._certificates(p2, first, 0.0, 4.0, env.robot_radius) == (False, False)
 
     def test_rounding_bound_scales_with_the_scene(self):
         env = Environment(Polygon([Vec2(3, 4), Vec2(6, 4), Vec2(6, 8), Vec2(3, 8)]), [], 0.1)
@@ -407,15 +536,17 @@ class TestStagesMatchFullEvaluations:
             env, path, params, config = sc.environment, sc.path, sc.controller, sc.sim
         columns, t, evals, converged = _reference_episode(env, path, params, method, config)
 
-        counts = {"safety_distance": 0, "prediction_goal_radius": 0}
+        counts = {"safety_distance": 0, "prediction_goal_radius": 0, "_wrong_side": 0,
+                  "_crossings": 0}
         for name in counts:
-            real = getattr(simulation, name)
+            module = environment if name.startswith("_") else simulation
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name):
                 counts[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(simulation, name, counted)
+            monkeypatch.setattr(module, name, counted)
         res = run_episode(env, path, params, method, config)
 
         assert res.converged == converged and res.travel_time == t
@@ -431,3 +562,12 @@ class TestStagesMatchFullEvaluations:
         assert nodes <= counts["safety_distance"] < evals
         if case == "open/triangle":
             assert counts["safety_distance"] < nodes + 0.25 * later
+        # the parity runs once for the path clearance and once per margin
+        # block; each query runs it unless its side is certified, and a
+        # triangle's crossings follow a parity that passed
+        blocks = -(-nodes // max(1, _BLOCK_PAIRS // len(env._edge_a)))
+        parity = counts["_wrong_side"] - 1 - blocks
+        assert nodes <= parity <= counts["safety_distance"]
+        assert counts["_crossings"] == (parity if method == "triangle" else 0)
+        if case != "short/forward-sim":  # a later stage certifies its side
+            assert parity < nodes + 0.01 * later

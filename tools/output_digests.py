@@ -3,8 +3,9 @@
 Runs ``headway-sim run`` at scenario defaults on the five shipped scenes
 with each prediction method, ``render --snapshots 0,3`` on ``open`` for each
 method, ``compare --methods circle,triangle`` on ``open``, ``validate`` and
-``write_scenario`` on each shipped scene and ``check`` at its defaults, all
-from the source tree this script sits in.  Each command's exit code and the
+``write_scenario`` on each shipped scene, ``check`` at its defaults and
+``check --trajectories 1``, which is refused, all from the source tree this
+script sits in.  Each command's exit code and the
 ``check`` report are written next to the CSV/SVG/YAML outputs, so one
 listing covers files, exit codes and property-suite lines.
 ``summary.yaml`` and ``*_compare.csv`` record wall-clock cost and are left
@@ -74,6 +75,8 @@ def main(argv: list[str]) -> int:
     done = _cli(out, "check")
     codes.append(f"{done.returncode}  check")
     (out / "check.txt").write_text(done.stdout)
+    done = _cli(out, "check", "--trajectories", "1")
+    codes.append(f"{done.returncode}  check --trajectories 1")
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
     files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "summary.yaml"
