@@ -7,9 +7,10 @@ deflating the workspace by the radius, which reduces every set-vs-set
 distance to point/segment-vs-polygon distances: exact for disk robots and
 no Minkowski-sum polygons ever need to be built.
 
-Each query builds one displacement grid between its points and the
-boundary vertices (``_grid``) and reads everything from it: the squared
-point/edge distances, the crossing parity, both orientation grids, the
+Only the set query (``safety_distance``) and the margins (``margin_points``)
+share the displacement grid: each call builds one between its points and
+the boundary vertices (``_grid``) and reads from it the squared point/edge
+distances, the crossing parity, both orientation grids, the
 swallowed-obstacle probe and the reverse edge distances.
 
 ``safety_distance`` gates first: when the unsigned margin, the root of the
@@ -17,13 +18,14 @@ least squared distance minus the radius and the padding, is not positive,
 the clearance is 0.0 whatever the sides.  Past the gate the parity only
 asks whether any point is on the wrong side, for points farther than the
 radius plus the padding from every edge.  A filled set's edges then get
-the strict-sign crossing test alone: a touch that ``geom._meet``'s box
+the strict-sign crossing test alone: a touch that ``segments_meet``'s box
 tests would add puts a set vertex on a boundary edge or a boundary vertex
 on a set edge, its distance is at rounding level, and ``max(0, distance -
 radius - padding)`` maps it to 0.0 as well.  A caller that certifies the
 set's free side (``free_side``) skips the parity, the crossings and the
-probe.  ``path_clearance`` reports depths below zero and keeps the full
-``_meet``.
+probe.  ``path_clearance`` reports depths below zero and reads three public
+kernels: the full ``segments_meet``, ``margin_points`` and
+``min_distance_to_segments``.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .geom import (
     Vec2,
     _crossings,
     _grid_sq_distance,
-    _meet,
     _orientations,
     _point_segment_distance_matrix,
     _safe_len2,
+    min_distance_to_segments,
+    segments_meet,
 )
 from .prediction import PredictionSet
 
@@ -151,15 +154,6 @@ def _wrong_side(env: Environment, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     return inside != env._workspace_col  # workspace inward, obstacles outward
 
 
-def _signed_distances(env: Environment, pts: np.ndarray, w: np.ndarray,
-                      sq: np.ndarray) -> np.ndarray:
-    """Signed distance from each point to each polygon, shape (N, P):
-    positive on the free side (inside the workspace, outside an obstacle)."""
-    dmin = np.minimum.reduceat(sq, env._group_starts, axis=1)
-    np.sqrt(dmin, out=dmin)
-    return np.negative(dmin, out=dmin, where=_wrong_side(env, pts, w))
-
-
 def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
     """Free-space clearance of each point, shape (N,).
 
@@ -173,7 +167,11 @@ def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
     out = np.empty(len(pts))
     for i in range(0, len(pts), rows):
         block = pts[i:i + rows]
-        out[i:i + rows] = _signed_distances(env, block, *_grid(env, block)).min(axis=1)
+        w, sq = _grid(env, block)
+        # the distance to each polygon (N, P), negated on its wrong side
+        dmin = np.sqrt(np.minimum.reduceat(sq, env._group_starts, axis=1))
+        np.negative(dmin, out=dmin, where=_wrong_side(env, block, w))
+        out[i:i + rows] = dmin.min(axis=1)
     out -= env.robot_radius
     return out
 
@@ -274,27 +272,22 @@ class ReferencePath:
 def path_clearance(env: Environment, path: ReferencePath) -> float:
     """Smallest free-space margin along the path polyline.
 
-    Exact while the path stays off the boundary: its vertex margins give the
-    sign, the segment-to-boundary distance the size.  A path that touches or
-    crosses the boundary gets a value no greater than minus the robot
-    radius; ``_meet``'s box tests find the touches, whose rounded distances
-    need not be zero.  Scenario validation requires this to be positive
-    before a governor run starts; the safe-following guarantee assumes a
-    path with clearance.
+    Exact while the path stays off the boundary: segments that do not meet
+    are closest at an endpoint of one, so the vertex margins
+    (``margin_points``, which give the sign) and the distances from the
+    boundary vertices to the path (``min_distance_to_segments``) cover every
+    pair.  A path that touches or crosses the boundary gets a value no
+    greater than minus the robot radius; ``segments_meet``'s box tests find
+    the touches, whose rounded distances need not be zero.  Scenario
+    validation requires this to be positive before a governor run starts;
+    the safe-following guarantee assumes a path with clearance.
     """
     pts = path._xy
-    w, sq = _grid(env, pts)
-    vertex_margin = float(_signed_distances(env, pts, w, sq).min()) - env.robot_radius
-    start, end = slice(None, -1), slice(1, None)
-    sd = (pts[end] - pts[start]).T[:, :, None]
-    o_pts, o_edge = _orientations(w, env._d, sd, start)
-    if _meet(pts, start, end, env._edge_a, env._next_edge, o_pts, o_edge).any():
+    vertex_margin = float(margin_points(env, pts).min())
+    if segments_meet(pts, slice(None, -1), slice(1, None), env._edge_a, env._next_edge).any():
         edge_distance = 0.0
     else:
-        # the reverse grid is -w; dividing by -safe instead negates t exactly
-        rev = _grid_sq_distance(w[:, start], env._a, pts[start].T[:, :, None], sd,
-                                -_safe_len2(sd))
-        edge_distance = math.sqrt(min(sq.min(), rev.min()))
+        edge_distance = float(min_distance_to_segments(env._edge_a, pts[:-1], pts[1:]).min())
     return min(vertex_margin, edge_distance - env.robot_radius)
 
 

@@ -12,11 +12,12 @@ distance, batched by ``min_distance_to_segments``), ``segments_meet``
 Both the distance and the intersection test start from one displacement
 grid ``w = p - a`` (2, N, M), every point minus every segment start with x
 and y split along the first axis.  ``_grid_sq_distance`` and
-``_orientations`` take the grid from their caller, so the clearance
-queries in ``environment`` build it once per query and derive everything
-from it; where roles swap, the grid is negated, which is exact.  The
-kernel stops at squared distances: sqrt is correctly rounded and monotone,
-so the root of a minimum is the minimum of the roots.
+``_orientations`` take the grid from their caller, so ``environment``'s
+set query and margins build it once per query and derive everything from
+it (its path clearance calls the public kernels); where roles swap, the
+grid is negated, which is exact.  The kernel stops at squared distances:
+sqrt is correctly rounded and monotone, so the root of a minimum is the
+minimum of the roots.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _grid_sq_distance(w: np.ndarray, p: np.ndarray, a: np.ndarray, d: np.ndarray
     holds every point minus every segment start, and the points ``p``,
     segment starts ``a`` and directions ``d`` broadcast against it, as does
     ``safe`` from ``_safe_len2`` against one coordinate.  A caller that
-    already holds the grid (the clearance queries in ``environment``) pays
+    already holds the grid (``environment``'s set query and margins) pays
     for no second copy.  Per element, in order: ``t = (wx dx + wy dy) /
     safe`` clamped to [0, 1], ``e = p - (a + t d)``, ``ex ex + ey ey``; the
     distance is its square root.
@@ -243,49 +244,41 @@ def segments_meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.nd
     every point against every edge, and every edge start against every
     segment, whose rows and columns give all four.  So segments that share
     endpoints (a polyline, a closed ring) share them, and so do edges that
-    share vertices.
+    share vertices.  The two cross where each one's endpoints lie on
+    opposite sides of the other's line (``_crossings``), and a point whose
+    orientation against the other segment is exactly zero meets it when it
+    lies in that segment's bounding box.
     """
+    edge_b = edge_a[next_edge]
     a = edge_a.T[:, None, :]
-    d = edge_a[next_edge].T[:, None, :] - a
+    d = edge_b.T[:, None, :] - a
     sd = (pts[end] - pts[start]).T[:, :, None]
     o_pts, o_edge = _orientations(pts.T[:, :, None] - a, d, sd, start)
-    return _meet(pts, start, end, edge_a, next_edge, o_pts, o_edge)
-
-
-def _crossings(start: slice | np.ndarray, end: slice | np.ndarray, next_edge: np.ndarray,
-               o_pts: np.ndarray, o_edge: np.ndarray) -> np.ndarray:
-    """The strict-sign part of ``_meet``, a zero orientation counting as
-    negative: in exact arithmetic the zeros add crossings only where the two
-    touch and miss touches, which ``_meet``'s box tests find."""
-    pos_pts, pos_edge = o_pts > 0, o_edge > 0
-    # take is cheaper than fancy indexing on these small grids
-    ends = pos_pts[end] if isinstance(end, slice) else pos_pts.take(end, axis=0)
-    return (pos_pts[start] != ends) & (pos_edge != pos_edge.take(next_edge, axis=1))
-
-
-def _meet(pts: np.ndarray, start: slice | np.ndarray, end: slice | np.ndarray,
-          edge_a: np.ndarray, next_edge: np.ndarray, o_pts: np.ndarray,
-          o_edge: np.ndarray) -> np.ndarray:
-    """``segments_meet`` from its orientation grids: ``o_pts`` (P, M) of the
-    points against the edges, ``o_edge`` (S, M) of the edge starts against
-    the segments.  The two cross where each one's endpoints lie on opposite
-    sides of the other's line, and a point whose orientation against the
-    other segment is exactly zero meets it when it lies in that segment's
-    bounding box."""
     meet = _crossings(start, end, next_edge, o_pts, o_edge)
     if o_pts.all() and o_edge.all():
         return meet
     ex0, ey0 = edge_a[:, 0], edge_a[:, 1]
-    edge_b = edge_a[next_edge]
     ex1, ey1 = edge_b[:, 0], edge_b[:, 1]
     px, py = pts[:, 0, None], pts[:, 1, None]
-    a, b = pts[start], pts[end]
-    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
+    s0, s1 = pts[start], pts[end]
+    ax, ay, bx, by = s0[:, 0, None], s0[:, 1, None], s1[:, 0, None], s1[:, 1, None]
     on_edge = ((o_pts == 0) & (np.minimum(ex0, ex1) <= px) & (px <= np.maximum(ex0, ex1))
                & (np.minimum(ey0, ey1) <= py) & (py <= np.maximum(ey0, ey1)))
     on_seg = ((o_edge == 0) & (np.minimum(ax, bx) <= ex0) & (ex0 <= np.maximum(ax, bx))
               & (np.minimum(ay, by) <= ey0) & (ey0 <= np.maximum(ay, by)))
     return meet | on_edge[start] | on_edge[end] | on_seg | on_seg[:, next_edge]
+
+
+def _crossings(start: slice | np.ndarray, end: slice | np.ndarray, next_edge: np.ndarray,
+               o_pts: np.ndarray, o_edge: np.ndarray) -> np.ndarray:
+    """The strict-sign part of ``segments_meet`` from its orientation grids
+    ``o_pts`` (P, M) and ``o_edge`` (S, M), a zero orientation counting as
+    negative: in exact arithmetic the zeros add crossings only where the two
+    touch and miss touches, which ``segments_meet``'s box tests find."""
+    pos_pts, pos_edge = o_pts > 0, o_edge > 0
+    # take is cheaper than fancy indexing on these small grids
+    ends = pos_pts[end] if isinstance(end, slice) else pos_pts.take(end, axis=0)
+    return (pos_pts[start] != ends) & (pos_edge != pos_edge.take(next_edge, axis=1))
 
 
 _NEXT_VERTEX = np.array([1, 2, 0], dtype=np.intp)

@@ -84,6 +84,11 @@ class Scenario:
                        epsilon: Optional[float] = None,
                        step: Optional[float] = None,
                        max_time: Optional[float] = None) -> "Scenario":
+        """The scenario with the given values replaced; ``ValueError`` for an
+        unknown method, an invalid value or a step beyond RK4's limit."""
+        if method is not None and method not in METHODS:
+            raise ValueError(f"unknown prediction method {method!r}; "
+                             f"expected one of {METHODS}")
         controller = self.controller
         if epsilon is not None:
             controller = dataclasses.replace(controller, headway_coeff=epsilon)
@@ -92,6 +97,7 @@ class Scenario:
             sim = dataclasses.replace(sim, step=step)
         if max_time is not None:
             sim = dataclasses.replace(sim, max_time=max_time)
+        require_stable_step(controller, sim)
         return dataclasses.replace(self, method=method or self.method,
                                    controller=controller, sim=sim)
 

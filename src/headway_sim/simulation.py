@@ -281,10 +281,13 @@ def read_trajectory_csv(path: Path | str) -> dict[str, np.ndarray]:
             values = []
             for name, cell in zip(CSV_COLUMNS, row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(f"{path}: row {lineno}, column {name!r}: "
-                                     "not a number") from None
+                                     "not a finite number")
+                values.append(value)
             rows.append(values)
     data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}

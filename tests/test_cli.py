@@ -415,6 +415,20 @@ class TestRender:
                      "--out", str(tmp_path / "fig.svg")])
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_cell_refused(self, cell, corridor, tmp_path, capsys):
+        # a non-finite x would otherwise reach the SVG polyline as "nan,..."
+        csv = tmp_path / "traj.csv"
+        csv.write_text("t,s,x,y,theta,v,omega,delta_F,pred_radius,margin\n"
+                       "0,0,1,1,0,0,0,0,0,0\n"
+                       f"0.1,0.1,{cell},1,0,0,0,0,0,0\n")
+        svg = tmp_path / "fig.svg"
+        code = main(["render", "--scenario", str(corridor), "--csv", str(csv),
+                     "--out", str(svg)])
+        assert code == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"error: {csv}: row 3, column 'x': not a finite number\n")
+        assert not svg.exists()
 
     def test_missing_csv_refused(self, corridor, tmp_path):
         missing = tmp_path / "missing.csv"

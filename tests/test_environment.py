@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from headway_sim.environment import (
@@ -619,15 +619,60 @@ def oracle_scenes():
     with mock.patch.dict(sys.modules, {"oracle": oracle}):  # scenes.py imports it
         scenes = _load_bench("scenes")
     docs = {"office": yaml.safe_load((ROOT / "scenarios" / "office.yaml").read_text()),
-            "cluttered": scenes.cluttered_scene(1)}
+            "cluttered": scenes.cluttered_scene(1),
+            "degenerate": _DEGENERATE}
     return {name: (scenario_from_dict(doc).environment,
                    oracle.Scene(doc["workspace"], doc.get("obstacles") or [],
                                 doc["robot_radius"]))
             for name, doc in docs.items()}
 
 
+# a workspace and an obstacle with a collinear run of three vertices, and an
+# obstacle with a needle spike 8e-7 m wide at its base and 4 m long
+_DEGENERATE = {
+    "workspace": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]],
+    "obstacles": [[[2, 2], [3, 2], [4, 2], [4, 3], [2, 3]],
+                  [[6, 2], [8, 2], [8, 3], [7.0000004, 3], [7, 7], [6.9999996, 3], [6, 3]]],
+    "robot_radius": 0.2,
+    "path": [[1, 8.5], [9, 8.5]],
+}
+
 _unit = st.floats(0.0, 1.0)
 _offset = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+# a path waypoint: a point of the workspace's bounding box, away from its
+# sides; a point on the line of boundary edge k at parameter t (a vertex at
+# 0, a midpoint at 1/2) moved h m along the edge's normal; such a point on
+# the previous such edge's line moved the same h, which runs the path along
+# that edge (on it when h is 0); or a step of up to 0.5 m in x and y from
+# the previous waypoint
+_edge_t = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-0.5, 1.5)
+_waypoint = st.one_of(
+    st.tuples(st.just("box"), st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+    st.tuples(st.just("edge"), st.integers(0, 10**6), _edge_t,
+              st.just(0.0) | st.floats(0.01, 0.8) | st.floats(-0.8, -0.01)),
+    st.tuples(st.just("along"), _edge_t),
+    st.tuples(st.just("step"), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+
+
+def _path_points(spec, edge_a, edge_b, lo, hi):
+    """The waypoints a list of ``_waypoint`` draws names, dropping each one
+    within 1e-9 m of the one before."""
+    pts, k, h = [0.5 * (lo + hi)], 0, 0.0
+    for kind, *args in spec:
+        if kind == "box":
+            p = lo + np.array(args) * (hi - lo)
+        elif kind == "step":
+            p = pts[-1] + np.array(args)
+        else:
+            if kind == "edge":
+                k, t, h = args[0] % len(edge_a), args[1], args[2]
+            else:
+                t = args[0]
+            d = edge_b[k] - edge_a[k]
+            p = edge_a[k] + t * d + h / np.hypot(*d) * np.array([-d[1], d[0]])
+        if np.hypot(*(p - pts[-1])) > 1e-9:
+            pts.append(p)
+    return pts[1:]
 
 
 class TestAgreesWithOracle:
@@ -649,3 +694,20 @@ class TestAgreesWithOracle:
         assert abs(safety_distance(env, Tri(v)) - truth.triangle_clearance(*v)) <= 1e-9
         pts = lo + np.array(batch) * (hi - lo)
         assert np.abs(margin_points(env, pts) - truth.margins(pts)).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["office", "cluttered", "degenerate"])
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.lists(_waypoint, min_size=2, max_size=5))
+    def test_path_clearance(self, oracle_scenes, name, spec):
+        # paths through boundary vertices and along boundary edges; a path
+        # that meets the boundary reads at or below minus the radius
+        env, truth = oracle_scenes[name]
+        pts = _path_points(spec, truth.edge_a, truth.edge_b,
+                           truth.workspace.min(axis=0), truth.workspace.max(axis=0))
+        assume(len(pts) >= 2)
+        got = path_clearance(env, ReferencePath([Vec2(*p) for p in pts]))
+        want = truth.path_clearance(pts)
+        if want > -env.robot_radius:
+            assert abs(got - want) <= 1e-9
+        else:
+            assert got <= -env.robot_radius

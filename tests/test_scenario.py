@@ -247,3 +247,15 @@ class TestOverrides:
         # original untouched
         assert scenario.method == "triangle"
         assert scenario.controller.headway_coeff == 0.5
+
+    def test_unknown_method_refused(self):
+        scenario = load_scenario(SCENARIO_DIR / "corridor.yaml")
+        with pytest.raises(ValueError, match="unknown prediction method 'bogus'"):
+            scenario.with_overrides(method="bogus")
+
+    def test_step_beyond_rk4_limit_refused(self):
+        # stable at eps 0.5, not at 0.05 (rate 21 /s at 0.2 s)
+        scenario = load_scenario(SCENARIO_DIR / "corridor.yaml")
+        scenario.with_overrides(step=0.2)
+        with pytest.raises(ValueError, match="RK4's stability limit"):
+            scenario.with_overrides(epsilon=0.05, step=0.2)

@@ -233,6 +233,15 @@ class TestEpisodeCsv:
         with pytest.raises(ValueError, match="column 'theta'"):
             read_trajectory_csv(bad)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_diagnostic(self, cell, tmp_path):
+        bad = tmp_path / "bad.csv"
+        row = ["1"] * len(CSV_COLUMNS)
+        row[2] = cell
+        bad.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match="row 2, column 'x': not a finite number"):
+            read_trajectory_csv(bad)
+
     def test_empty_file_diagnostic(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("")
@@ -562,11 +571,15 @@ class TestStagesMatchFullEvaluations:
         assert nodes <= counts["safety_distance"] < evals
         if case == "open/triangle":
             assert counts["safety_distance"] < nodes + 0.25 * later
-        # the parity runs once for the path clearance and once per margin
-        # block; each query runs it unless its side is certified, and a
-        # triangle's crossings follow a parity that passed
-        blocks = -(-nodes // max(1, _BLOCK_PAIRS // len(env._edge_a)))
-        parity = counts["_wrong_side"] - 1 - blocks
+        # the parity runs once per margin block: the path clearance's vertex
+        # margins take ceil(waypoints / rows) blocks, one on these three
+        # scenes, and the node margins ceil(nodes / rows); each query runs
+        # it unless its side is certified, and a triangle's crossings
+        # follow a parity that passed
+        rows = max(1, _BLOCK_PAIRS // len(env._edge_a))
+        path_blocks, blocks = -(-len(path.waypoints) // rows), -(-nodes // rows)
+        assert path_blocks == 1
+        parity = counts["_wrong_side"] - path_blocks - blocks
         assert nodes <= parity <= counts["safety_distance"]
         assert counts["_crossings"] == (parity if method == "triangle" else 0)
         if case != "short/forward-sim":  # a later stage certifies its side
