@@ -48,6 +48,7 @@ from .geom import (
     _orientations,
     _point_segment_distance_matrix,
     _safe_len2,
+    _zero_gap_message,
     min_distance_to_segments,
     segments_meet,
 )
@@ -234,9 +235,10 @@ class ReferencePath:
         if len(pts) < 2:
             raise ValueError(f"path needs at least 2 waypoints, got {len(pts)}")
         xy = np.array([[p.x, p.y] for p in pts], dtype=float)
-        seg_len = np.linalg.norm(np.diff(xy, axis=0), axis=1)
+        gaps = np.diff(xy, axis=0)
+        seg_len = np.linalg.norm(gaps, axis=1)
         if (seg_len == 0.0).any():
-            raise ValueError("path has repeated consecutive waypoints")
+            raise ValueError(_zero_gap_message("path", "waypoints", gaps))
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.waypoints = pts
         self._xy = xy

@@ -110,7 +110,7 @@ class Polygon:
         edge_a = xy
         edge_b = np.roll(xy, -1, axis=0)
         if np.min(np.einsum("ij,ij->i", edge_b - edge_a, edge_b - edge_a)) == 0.0:
-            raise ValueError("polygon has repeated consecutive vertices")
+            raise ValueError(_zero_gap_message("polygon", "vertices", edge_b - edge_a))
         area2 = float(np.sum(edge_a[:, 0] * edge_b[:, 1] - edge_a[:, 1] * edge_b[:, 0]))
         if area2 <= 0.0:
             raise ValueError("polygon vertices must be in counterclockwise order")
@@ -146,11 +146,19 @@ class Polygon:
             return NotImplemented
         return self.vertices == other.vertices
 
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
     def __repr__(self) -> str:
         return f"Polygon({list(self.vertices)!r})"
+
+
+_LENGTH_FLOOR = math.sqrt(math.ulp(0.0))  # the shortest length with a non-zero square
+
+
+def _zero_gap_message(owner: str, points: str, d: np.ndarray) -> str:
+    """Why ``owner`` refuses consecutive ``points`` ``d`` (K, 2) apart, a length squaring to 0."""
+    if not d.any(axis=1).all():
+        return f"{owner} has repeated consecutive {points}"
+    return (f"{owner} has consecutive {points} whose distance squares to 0; "
+            f"lengths must be at least about {_LENGTH_FLOOR:.2g} m")
 
 
 # ---------------------------------------------------------------------------

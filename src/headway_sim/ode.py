@@ -79,20 +79,26 @@ class SimConfig:
 
 
 def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
-    """Raise ``ValueError`` when a step leaves RK4's stability interval.
+    """Raise ``ValueError`` for a step outside RK4's stability interval, or a
+    stop ball inside the controller's freeze ball (the episode never ends).
 
     Linearised, the bearing error decays at ``k (1 - eps) / eps`` near
     alignment and at ``k (1 + eps) / eps`` at the turning equilibrium, and
-    the path parameter settles on the path end at ``endpoint_gain``.  A
-    step times a decay rate beyond 2.785 makes RK4 diverge instead.  A step
-    too small to advance the clock at its horizon would never reach it:
-    ``max_time`` for the episode step, and 1 s, the shortest horizon
-    ``convergence_budget`` gives, for the prediction step.
+    the path parameter at ``endpoint_gain`` near the path end and at up to
+    ``clearance_gain`` where the clearance binds (``delta_F`` falls at most
+    at unit rate in ``s``).  A step times a decay rate beyond 2.785 makes RK4
+    diverge instead.  A step too small to advance the clock at its horizon
+    would never reach it: ``max_time`` for the episode step, and 1 s, the
+    shortest horizon ``convergence_budget`` gives, for the prediction step.
     """
+    if config.goal_tolerance < params.goal_tolerance:
+        raise ValueError(f"goal_tolerance {config.goal_tolerance:g} m is below the controller's "
+                         f"goal_tolerance {params.goal_tolerance:g} m, where its control freezes")
     _require_clock_step(config.step, config.max_time)
     _require_clock_step(config.inner_step(), 1.0, "prediction_step")
     turn = params.ref_gain * (1.0 + params.headway_coeff) / params.headway_coeff
-    for label, h, rate in (("step", config.step, max(turn, config.endpoint_gain)),
+    outer = max(turn, config.endpoint_gain, config.clearance_gain)
+    for label, h, rate in (("step", config.step, outer),
                            ("prediction_step", config.inner_step(), turn)):
         if h * rate > _RK4_LIMIT:
             raise ValueError(f"{label} {h:g} s times the fastest closed-loop decay rate "

@@ -97,10 +97,14 @@ def _sample_params(rng: np.random.Generator, eps_range=(0.1, 0.9)) -> Controller
     return ControllerParams(headway_coeff=eps, ref_gain=1.0, goal_tolerance=1e-4)
 
 
-def _sample_pose(rng: np.random.Generator, span: float = 4.0) -> UnicycleState:
-    return UnicycleState(Vec2(float(rng.uniform(-span, span)),
-                              float(rng.uniform(-span, span))),
-                         float(rng.uniform(-math.pi, math.pi)))
+def _frame_samples(seed: int, n: int):
+    """The ``n`` seeded ``(params, state, goal)`` draws of the headway frame suites."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = _sample_params(rng)
+        state = UnicycleState(Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))),
+                              float(rng.uniform(-math.pi, math.pi)))
+        yield params, state, Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
 
 
 def _sample_goal_state(rng: np.random.Generator, r_range=(0.5, 3.0),
@@ -182,12 +186,8 @@ def _bracket(state: UnicycleState, goal: Vec2, params: ControllerParams) -> tupl
 
 def check_goal_point_equivalence(seed: int = 0, n: int = 10_000) -> CheckResult:
     """Headway point at goal exactly when the robot is at the goal."""
-    rng = np.random.default_rng(seed)
     worst = math.inf
-    for _ in range(n):
-        params = _sample_params(rng)
-        state = _sample_pose(rng)
-        goal = Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+    for params, state, goal in _frame_samples(seed, n):
         r = (state.position - goal).norm()
         h = headway_point(state, goal, params)
         hd = (h - goal).norm()
@@ -213,13 +213,9 @@ def check_goal_point_equivalence(seed: int = 0, n: int = 10_000) -> CheckResult:
 def check_position_bracket(seed: int = 0, n: int = 10_000,
                            tol: float = 1e-9) -> CheckResult:
     """Robot position lies on the projected-extended segment."""
-    rng = np.random.default_rng(seed)
     # per sample: the position, the projected one and extended - projected
     rows = np.empty((n, 6))
-    for i in range(n):
-        params = _sample_params(rng)
-        state = _sample_pose(rng)
-        goal = Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+    for i, (params, state, goal) in enumerate(_frame_samples(seed, n)):
         _, qx, qy, ex, ey = _bracket(state, goal, params)
         rows[i] = state.position.x, state.position.y, qx, qy, ex - qx, ey - qy
     p, a, d = rows.T.reshape(3, 2, n)
@@ -232,13 +228,9 @@ def check_distance_order(seed: int = 0, n: int = 10_000,
                          rel_tol: float = 1e-12) -> CheckResult:
     """Projected/actual/extended goal distances are ordered, with the exact
     extended-to-projected ratio."""
-    rng = np.random.default_rng(seed)
     worst_order = 0.0
     worst_ratio = 0.0
-    for _ in range(n):
-        params = _sample_params(rng)
-        state = _sample_pose(rng)
-        goal = Vec2(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+    for params, state, goal in _frame_samples(seed, n):
         r, qx, qy, ex, ey = _bracket(state, goal, params)
         if r == 0.0:
             continue

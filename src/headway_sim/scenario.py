@@ -35,7 +35,7 @@ from typing import Optional
 import yaml
 
 from .environment import Environment, ReferencePath, path_clearance, require_path_clearance
-from .geom import Polygon, Vec2
+from .geom import _LENGTH_FLOOR, Polygon, Vec2
 from .ode import SimConfig, require_stable_step
 from .simulation import METHODS
 from .unicycle import ControllerParams
@@ -167,7 +167,7 @@ def _refuse_unknown(mapping: dict, known, prefix: str, violations: list[str]) ->
 # the shortest and longest lengths whose squares are non-zero and finite
 # (about 2.2e-162 and 1.3e154 m); distance, area and orientation arithmetic
 # squares lengths and multiplies coordinates
-_LENGTH_RANGE = (math.sqrt(math.ulp(0.0)), math.sqrt(sys.float_info.max))
+_LENGTH_RANGE = (_LENGTH_FLOOR, math.sqrt(sys.float_info.max))
 
 
 def _scale_violation(polygons: list[list[Vec2]], path: list[Vec2] | None) -> str | None:

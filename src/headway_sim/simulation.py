@@ -305,9 +305,9 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
 
     The run terminates once the path parameter has essentially reached the
     path end and the robot is inside the endpoint tolerance ball; hitting
-    ``config.max_time`` first marks the result as non-converged.  Scenarios
-    whose reference path lacks positive clearance, and steps beyond RK4's
-    stability limit (``require_stable_step``), are rejected outright.
+    ``config.max_time`` first marks the result as non-converged.  A path
+    without positive clearance, a step beyond RK4's stability limit and a
+    stop ball inside the freeze ball (``require_stable_step``) are refused.
 
     Each step's first stage is a full ``governor_field`` evaluation, logged
     with the node; stages 2-4 pass it ``first`` and get the rates only (see

@@ -220,6 +220,26 @@ class TestRun:
         assert ("prediction_step 1e-300 s cannot advance the clock at the 1 s horizon"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("scene, section, change, says", [
+        ("office", "governor", {"clearance_gain": 1e4},
+         "integrator: step 0.01 s times the fastest closed-loop decay rate 1e+04 1/s is 100"),
+        ("open", "integrator", {"goal_tolerance": 1e-6},
+         "integrator: goal_tolerance 1e-06 m is below the controller's goal_tolerance 0.0001 m"),
+    ], ids=["clearance-gain", "stop-radius"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_episode_that_cannot_end_safely_refused(self, command, scene, section, change,
+                                                    says, tmp_path, capsys):
+        # both validated; office at clearance gain 1e4 then collided (exit 4,
+        # min_margin -0.022 m), and open at stop radius 1e-6 parked inside the
+        # controller's 1e-4 m freeze ball until its 60 s horizon (exit 3)
+        scenario = tmp_path / f"{scene}.yaml"
+        shutil.copy(SCENARIO_DIR / f"{scene}.yaml", scenario)
+        _edit_scenario(scenario, lambda d: d[section].update(change))
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, "--scenario", str(scenario), *out]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines()[1].startswith(f"  - {says}")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
     def test_out_of_range_scale_refused(self, scale, word, tmp_path, capsys):
         # exited 2 with a NaN clearance at 1e160 and 1 with "repeated

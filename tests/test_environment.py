@@ -532,6 +532,12 @@ class TestReferencePath:
         with pytest.raises(ValueError, match="repeated"):
             ReferencePath([Vec2(0, 0), Vec2(0, 0), Vec2(1, 0)])
 
+    def test_underflowing_gap_is_not_called_a_repeat(self):
+        # the waypoints differ, but the gap 1.2e-274 squares to 0
+        with pytest.raises(ValueError, match=r"^path has consecutive waypoints whose "
+                           r"distance squares to 0; lengths must be at least about 2.2e-162 m$"):
+            ReferencePath([Vec2(0, 0), Vec2(0, 1.2e-274)])
+
     def test_cumulative_lengths_strictly_increasing(self):
         # each waypoint sits at the arc length of the segments before it
         path = ReferencePath([Vec2(0, 0), Vec2(1, 0), Vec2(1, 2)])

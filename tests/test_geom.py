@@ -220,6 +220,12 @@ class TestPolygon:
         with pytest.raises(ValueError, match="repeated"):
             Polygon([Vec2(0, 0), Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)])
 
+    def test_underflowing_edge_is_not_called_a_repeat(self):
+        # the vertices differ, but the edge length 1e-200 squares to 0
+        with pytest.raises(ValueError, match=r"^polygon has consecutive vertices whose "
+                           r"distance squares to 0; lengths must be at least about 2.2e-162 m$"):
+            Polygon([Vec2(0, 0), Vec2(1e-200, 0), Vec2(1e-200, 1e-200)])
+
     def test_equality(self):
         assert unit_square() == unit_square()
         assert unit_square() != Polygon([Vec2(0, 0), Vec2(2, 0), Vec2(0, 2)])

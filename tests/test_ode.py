@@ -54,6 +54,19 @@ class TestStableStep:
         with pytest.raises(ValueError, match=r"^prediction_step 0.95 s .* 3 1/s"):
             require_stable_step(self.PARAMS, SimConfig(step=0.01, prediction_step=0.95))
 
+    def test_clearance_gain_bounds_the_outer_step(self):
+        # office at clearance gain 1e4 validated, then collided at step 0.01
+        require_stable_step(self.PARAMS, SimConfig(step=0.01, clearance_gain=278.0))
+        with pytest.raises(ValueError, match=r"^step 0.01 s .* 279 1/s is 2.79,"):
+            require_stable_step(self.PARAMS, SimConfig(step=0.01, clearance_gain=279.0))
+
+    def test_stop_ball_inside_the_freeze_ball_refused(self):
+        # the robot parked 9.999e-05 m from the goal and never stopped
+        require_stable_step(self.PARAMS, SimConfig(goal_tolerance=1e-4))
+        with pytest.raises(ValueError, match=r"^goal_tolerance 1e-06 m is below the "
+                           r"controller's goal_tolerance 0.0001 m"):
+            require_stable_step(self.PARAMS, SimConfig(goal_tolerance=1e-6))
+
     def test_default_prediction_step_follows_step(self):
         config = SimConfig(step=0.95, endpoint_gain=1.0)
         with pytest.raises(ValueError, match=r"^step 0.95 s"):

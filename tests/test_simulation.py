@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -33,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def square(side, x0=0.0, y0=0.0):
     return Polygon([Vec2(x0, y0), Vec2(x0 + side, y0),
                     Vec2(x0 + side, y0 + side), Vec2(x0, y0 + side)])
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a field evaluation ran before the settings were checked")
 
 
 @pytest.fixture
@@ -102,6 +107,18 @@ class TestRunEpisode:
         env, path, params, config = simple_setup
         with pytest.raises(ValueError, match="method"):
             run_episode(env, path, params, "octagon", config)
+
+    @pytest.mark.parametrize("change, says", [
+        ({"clearance_gain": 1e4}, r"^step 0.01 s .* 1e\+04 1/s is 100, beyond RK4's stability"),
+        ({"goal_tolerance": 1e-6}, r"^goal_tolerance 1e-06 m is below the controller's "
+                                   r"goal_tolerance 0.0001 m"),
+    ], ids=["clearance-gain", "stop-radius"])
+    def test_rejects_settings_that_cannot_end_safely(self, change, says, simple_setup,
+                                                      monkeypatch):
+        env, path, params, config = simple_setup
+        monkeypatch.setattr(simulation, "governor_field", _must_not_run)
+        with pytest.raises(ValueError, match=says):
+            run_episode(env, path, params, "triangle", dataclasses.replace(config, **change))
 
     def test_converges_safely_on_empty_square(self, simple_setup):
         env, path, params, config = simple_setup
