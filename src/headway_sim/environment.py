@@ -21,18 +21,54 @@ radius plus the padding from every edge.  A filled set's edges then get
 the strict-sign crossing test alone: a touch that ``segments_meet``'s box
 tests would add puts a set vertex on a boundary edge or a boundary vertex
 on a set edge, its distance is at rounding level, and ``max(0, distance -
-radius - padding)`` maps it to 0.0 as well.  A caller that certifies the
-set's free side (``free_side``) skips the parity, the crossings and the
-probe.  ``path_clearance`` reports depths below zero and reads three public
-kernels: the full ``segments_meet``, ``margin_points`` and
-``min_distance_to_segments``.
+radius - padding)`` maps it to 0.0 as well.  ``path_clearance`` reports
+depths below zero and reads three public kernels: the full
+``segments_meet``, ``margin_points`` and ``min_distance_to_segments``.
+
+A ``ClearanceChain`` carries one episode's queries, whose consecutive sets
+lie millimetres apart, and shortens them with every output unchanged.  Let
+the new set B have as many points as the last queried set A, the same
+fill, and every point within m of A's point of the same index; then every
+point of B's closed set lies within m of A's point of the same barycentric
+weights.  ``tau`` (``_rounding_bound``) lies orders of magnitude above the
+rounding of any computed distance.
+
+* Side.  When clearance_A > 0 and ``m + tau < clearance_A + robot_radius +
+  padding_A``, every point of A's set lies farther than ``m + tau`` from
+  the boundary, so the segment joining it to its partner in B cannot reach
+  the boundary: B lies on the free side and holds no boundary point.  Its
+  query skips the parity, the crossings and the probe, which would all
+  pass.  The guard clearance_A > 0 is required: a set on the wrong side
+  reports 0.0, and the bound alone would then carry the next set inside an
+  obstacle to a positive clearance.
+* Columns.  Column e is boundary edge e and, for a filled set, boundary
+  vertex e too, edge e's start, so the forward grid and the reverse grid
+  share columns.  A column's value, the least distance between the set
+  and it, moves by at most m from A to B.  A refresh is a full-width query
+  without side tests; it keeps the columns whose value is at most ``limit
+  = 2 best + tau``, best being the least value.  Let D be the displacement
+  accumulated since the refresh, B's included.  Every dropped column of B
+  then lies above ``limit - D``, and A's least column, a kept one, at most
+  ``best_A + m`` from B.  While ``limit - D >= best_A + m + tau`` B's least
+  column is a kept one, so the kept columns' least squared distance is the
+  full width's, bit for bit (each grid element is computed alone), and so
+  is the clearance ``max(0, root - robot_radius - padding)``.  The margin
+  gate reads the forward distances alone.  Where its least lies in a
+  dropped column and fires, the least column of all is a kept reverse
+  one, below ``robot_radius + padding``: the kept columns' query returns
+  0.0 too, from its own gate or from the ``max``.
+* Anything else is a full query, which re-seeds the chain: an episode's
+  first query, one after a clearance of 0.0, and a set whose point count
+  or fill differs, as a forward-sim set does when its inner run differs in
+  length from the last one's (13-30% of the queries of the shipped
+  forward-sim episodes; the rest are culled).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +82,8 @@ from .geom import (
     _crossings,
     _grid_sq_distance,
     _orientations,
+    _origin_box_diagonal,
+    _overflow_message,
     _point_segment_distance_matrix,
     _safe_len2,
     _zero_gap_message,
@@ -56,6 +94,7 @@ from .prediction import PredictionSet
 
 __all__ = [
     "Environment",
+    "ClearanceChain",
     "ReferencePath",
     "ClearanceError",
     "margin_points",
@@ -132,12 +171,14 @@ class Environment:
                 f"obstacles={len(self.obstacles)}, robot_radius={self.robot_radius})")
 
 
-def _grid(env: Environment, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid(columns, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The displacement grid ``w`` (2, N, M) from every boundary vertex to
-    every point, and the squared point/edge distances (N, M) from it."""
+    every point, and the squared point/edge distances (N, M) from it, on
+    the M boundary columns whose ``_a``, ``_d`` and ``_safe`` ``columns``
+    holds: an ``Environment``, or a ``ClearanceChain``'s kept ones."""
     p = pts.T[:, :, None]
-    w = p - env._a
-    return w, _grid_sq_distance(w, p, env._a, env._d, env._safe)
+    w = p - columns._a
+    return w, _grid_sq_distance(w, p, columns._a, columns._d, columns._safe)
 
 
 def _wrong_side(env: Environment, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -177,7 +218,8 @@ def margin_points(env: Environment, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def safety_distance(env: Environment, pred: PredictionSet, free_side: bool = False) -> float:
+def safety_distance(env: Environment, pred: PredictionSet,
+                    chain: Optional["ClearanceChain"] = None) -> float:
     """Minimum clearance of a prediction set; exactly zero when it exits
     the free space.
 
@@ -187,38 +229,135 @@ def safety_distance(env: Environment, pred: PredictionSet, free_side: bool = Fal
     collinear triangle holds a boundary vertex only on an edge, where the
     reverse distance is at rounding level.
 
-    ``free_side`` is the caller's certificate that the set lies on the free
-    side with no boundary point in it, so that the parity, the crossings
-    and the probe would all pass: they are skipped, and the gate and the
-    distances alone give the clearance (``simulation``'s side certificate).
+    With a ``chain`` of ``env``, the query may skip the side tests or read
+    only the boundary columns that can bind (the module docstring's
+    argument); the value is the full query's, bit for bit.
     """
+    if chain is None:
+        return _clearance(env, pred, True, env)[0]
+    if chain.env is not env:
+        raise ValueError("the clearance chain belongs to another environment")
+    return chain._query(pred)
+
+
+def _clearance(env: Environment, pred: PredictionSet, sides: bool, columns) -> tuple:
+    """``safety_distance`` on the boundary ``columns`` (see ``_grid``), with
+    the side tests when ``sides``.  Returns the clearance and, when it is
+    positive, the least squared column distance and the grids (forward,
+    and reverse for a filled set)."""
     pts = pred.points
-    w, sq = _grid(env, pts)
+    w, sq = _grid(columns, pts)
     least = sq.min()
     margin = math.sqrt(least) - env.robot_radius - pred.padding
-    if margin <= 0.0 or not free_side and _wrong_side(env, pts, w).any():
-        return 0.0
+    if margin <= 0.0 or sides and _wrong_side(env, pts, w).any():
+        return 0.0, None, None
     if not pred.filled:
-        return margin
+        return margin, least, (sq,)
     (x0, y0), (x1, y1), (x2, y2) = pts.tolist()
     sx, sy = (x1 - x0, x2 - x1, x0 - x2), (y1 - y0, y2 - y1, y0 - y2)
     # the edge directions (2, 3, 1) and their negated _safe_len2 (3, 1)
     edges = np.array([sx, sy, [-q if q > 0.0 else -math.inf
                                for q in (u * u + v * v for u, v in zip(sx, sy))]])
     sd = edges[:2, :, None]
-    if not free_side:
+    if sides:
         o_pts, o_edge = _orientations(w, env._d, sd, slice(None))
         if _crossings(slice(None), _NEXT_VERTEX, env._next_edge, o_pts, o_edge).any():
-            return 0.0
+            return 0.0, None, None
         area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         # a boundary vertex in the closed triangle has no o_edge of the wrong sign
         if area2 > 0.0 and o_edge.min(axis=0).max() >= 0.0:
-            return 0.0
+            return 0.0, None, None
         if area2 < 0.0 and o_edge.max(axis=0).min() <= 0.0:
-            return 0.0
+            return 0.0, None, None
     # the reverse grid is -w; dividing by -safe instead negates t exactly
-    rev = _grid_sq_distance(w, env._a, pts.T[:, :, None], sd, edges[2, :, None])
-    return max(0.0, math.sqrt(min(least, rev.min())) - env.robot_radius - pred.padding)
+    rev = _grid_sq_distance(w, columns._a, pts.T[:, :, None], sd, edges[2, :, None])
+    reach = min(least, rev.min())
+    clearance = max(0.0, math.sqrt(reach) - env.robot_radius - pred.padding)
+    return clearance, reach, (sq, rev)
+
+
+def _rounding_bound(env: Environment) -> float:
+    """The rounding allowance ``tau`` of the chain's and the RK4 stages'
+    certificates: 1e-9 times the diagonal of the bounding box of the
+    workspace and the origin, which bounds every coordinate a clearance
+    query sees."""
+    return 1e-9 * _origin_box_diagonal(env.workspace.xy)
+
+
+def _index_move(b: np.ndarray, a: np.ndarray) -> float:
+    """m: the largest distance between points of the same index of two
+    point arrays of one length."""
+    if len(b) > 8:  # numpy's fixed cost, about 3 us, pays from about ten points
+        return float(np.hypot(*(b - a).T).max())
+    return max([math.hypot(bx - ax, by - ay)
+                for (bx, by), (ax, ay) in zip(b.tolist(), a.tolist())])
+
+
+class ClearanceChain:
+    """One episode's run of ``safety_distance`` queries against ``env``,
+    shortened by the module docstring's argument.
+
+    It holds the last queried set's points, fill, padding, clearance and
+    least column distance ``best``; the columns the last refresh or full
+    query kept, with their edge arrays, its ``limit`` and the displacement
+    ``moved`` since; and ``kind``, how the last query ran: "full",
+    "refresh" or "culled".
+    """
+
+    __slots__ = ("env", "tau", "points", "filled", "padding", "clearance", "best",
+                 "limit", "moved", "kind", "_known", "_a", "_d", "_safe")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.tau = _rounding_bound(env)
+        self.points: Optional[np.ndarray] = None
+        self.filled = False
+        self.padding = self.clearance = self.best = self.moved = 0.0
+        self.limit = -math.inf
+        self.kind: Optional[str] = None
+        self._known: Optional[tuple] = None
+
+    def move(self, pred: PredictionSet, points: np.ndarray) -> Optional[float]:
+        """m from ``points`` to ``pred``'s points of the same index, or None
+        when their counts differ.  When ``points`` are the last queried
+        set's, the query of ``pred`` that follows reuses m."""
+        if len(pred.points) != len(points):
+            return None
+        m = _index_move(pred.points, points)
+        self._known = (pred, m) if points is self.points else None
+        return m
+
+    def _plan(self, pred: PredictionSet) -> str:
+        last, known = self.points, self._known
+        if not self.clearance > 0.0 or len(pred.points) != len(last) \
+                or pred.filled != self.filled:
+            return "full"
+        m = known[1] if known is not None and known[0] is pred else _index_move(pred.points, last)
+        if not m + self.tau < self.clearance + self.env.robot_radius + self.padding:
+            return "full"
+        if self.limit - (self.moved + m) >= self.best + m + self.tau:
+            self.moved += m
+            return "culled"
+        return "refresh"
+
+    def _query(self, pred: PredictionSet) -> float:
+        kind = self._plan(pred)
+        env = self.env
+        clearance, reach, grids = _clearance(env, pred, kind == "full",
+                                             self if kind == "culled" else env)
+        self.kind, self.points, self.filled, self._known = kind, pred.points, pred.filled, None
+        self.padding, self.clearance = pred.padding, clearance
+        if clearance > 0.0:
+            self.best = math.sqrt(reach)
+            if kind != "culled":
+                self.limit = 2.0 * self.best + self.tau
+                column = np.vstack(grids).min(axis=0)
+                keep = np.flatnonzero(np.sqrt(column) <= self.limit)
+                # take keeps the columns contiguous, as indexing would not
+                self._a, self._d, self._safe = (np.take(v, keep, axis=-1)
+                                                for v in (env._a, env._d, env._safe))
+                self.moved = 0.0
+        return clearance
 
 
 class ReferencePath:
@@ -235,6 +374,9 @@ class ReferencePath:
         if len(pts) < 2:
             raise ValueError(f"path needs at least 2 waypoints, got {len(pts)}")
         xy = np.array([[p.x, p.y] for p in pts], dtype=float)
+        too_large = _overflow_message("path", xy)
+        if too_large is not None:
+            raise ValueError(too_large)
         gaps = np.diff(xy, axis=0)
         seg_len = np.linalg.norm(gaps, axis=1)
         if (seg_len == 0.0).any():

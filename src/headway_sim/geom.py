@@ -107,6 +107,9 @@ class Polygon:
         if len(verts) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
         xy = np.array([[v.x, v.y] for v in verts], dtype=float)
+        too_large = _overflow_message("polygon", xy)
+        if too_large is not None:
+            raise ValueError(too_large)
         edge_a = xy
         edge_b = np.roll(xy, -1, axis=0)
         if np.min(np.einsum("ij,ij->i", edge_b - edge_a, edge_b - edge_a)) == 0.0:
@@ -159,6 +162,25 @@ def _zero_gap_message(owner: str, points: str, d: np.ndarray) -> str:
         return f"{owner} has repeated consecutive {points}"
     return (f"{owner} has consecutive {points} whose distance squares to 0; "
             f"lengths must be at least about {_LENGTH_FLOOR:.2g} m")
+
+
+def _origin_box_diagonal(xy: np.ndarray) -> float:
+    """The diagonal of the bounding box of the points ``xy`` (K, 2) and the
+    origin, which bounds every coordinate and every difference of two."""
+    (x0, y0), (x1, y1) = (np.minimum(xy.min(axis=0), 0.0).tolist(),
+                          np.maximum(xy.max(axis=0), 0.0).tolist())
+    return math.hypot(x1 - x0, y1 - y0)
+
+
+def _overflow_message(owner: str, xy: np.ndarray) -> str | None:
+    """Why ``owner``'s points ``xy`` (K, 2) are too large, or None: their
+    ``_origin_box_diagonal``, which bounds every product of coordinates,
+    squares to infinity."""
+    diag = _origin_box_diagonal(xy)
+    if diag * diag < math.inf:
+        return None
+    return (f"{owner} coordinates overflow: the bounding-box diagonal (origin "
+            f"included) {diag:.3g} m squares to infinity")
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ class SimConfig:
 
 def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
     """Raise ``ValueError`` for a step outside RK4's stability interval, or a
-    stop ball inside the controller's freeze ball (the episode never ends).
+    stop radius of 0 or one inside the controller's freeze ball (the episode
+    never ends).
 
     Linearised, the bearing error decays at ``k (1 - eps) / eps`` near
     alignment and at ``k (1 + eps) / eps`` at the turning equilibrium, and
@@ -91,6 +92,10 @@ def require_stable_step(params: ControllerParams, config: SimConfig) -> None:
     would never reach it: ``max_time`` for the episode step, and 1 s, the
     shortest horizon ``convergence_budget`` gives, for the prediction step.
     """
+    if not config.goal_tolerance > 0.0:
+        raise ValueError(f"goal_tolerance {config.goal_tolerance:g} m: the robot approaches "
+                         "the path end exponentially and never reaches distance 0, so the "
+                         "episode could not end")
     if config.goal_tolerance < params.goal_tolerance:
         raise ValueError(f"goal_tolerance {config.goal_tolerance:g} m is below the controller's "
                          f"goal_tolerance {params.goal_tolerance:g} m, where its control freezes")

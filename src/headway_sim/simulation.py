@@ -11,12 +11,13 @@ current path point.
 ``run_episode`` integrates the loop with RK4.  The first stage of each step
 is a full ``governor_field`` evaluation: its clearance and goal radius are
 logged with the node.  The three later stages feed only their rates to the
-integrator, so they compute no goal radius, and the first stage's set
-certifies two things that shorten their clearance query.  The later stage's
-set has the same number of points as the first stage's; m is the largest
-distance between points of the same index, and each set lies within m of
-the other (a disk's center, a filled triangle's point of the same
-barycentric weights).  ``tau`` (``_rounding_bound``) lies orders of
+integrator, so they compute no goal radius, and the first stage's set may
+certify that they need no clearance query.  The later stage's set has the
+same number of points as the first stage's; m is the largest distance
+between points of the same index (``ClearanceChain.move``, which the
+chain's next query reuses), and each set lies within m of the other (a
+disk's center, a filled triangle's point of the same barycentric
+weights).  ``tau`` (``environment._rounding_bound``) lies orders of
 magnitude above the rounding of any computed clearance.
 
 * The endpoint pull binds.  With h = m plus the difference of the
@@ -28,20 +29,13 @@ magnitude above the rounding of any computed clearance.
   margin, and needs ``tau``: without it, one stage of the shipped
   open/triangle run computed a clearance 2.2e-16 m below ``clearance_1 -
   h``.
-* The set is on the free side.  When ``clearance_1 > 0`` and ``m + tau <
-  clearance_1 + robot_radius + padding_1``, every point of the first set
-  lies farther than ``m + tau`` from the boundary, so the segment joining
-  it to its partner in the later set cannot reach the boundary: the later
-  set lies on the free side and holds no boundary point.  Its query skips
-  the crossing parity, the edge crossings and the swallowed-vertex probe,
-  which would all pass, and runs only the margin gate and the distances.
-  The guard ``clearance_1 > 0`` is required: a first set on the wrong side
-  reports 0.0, and the bound alone would then carry a later stage inside
-  an obstacle to a positive clearance.
+* Every query that does run, at any stage of any step, goes through one
+  ``environment.ClearanceChain`` per episode, which certifies the set's
+  free side from the last queried set and reads only the boundary columns
+  that can bind; the argument is in the ``environment`` docstring.
 
-Either way every output is unchanged.  Stage 1 stays a full query every
-step, so no certificate reaches across steps.  Forward-sim sets whose inner
-runs differ in length get no certificate.
+Either way every output is unchanged.  Forward-sim sets whose inner runs
+differ in length get no certificate.
 """
 
 from __future__ import annotations
@@ -58,6 +52,7 @@ import numpy as np
 import yaml
 
 from .environment import (
+    ClearanceChain,
     Environment,
     ReferencePath,
     margin_points,
@@ -120,38 +115,25 @@ def prediction_set(method: str, state: UnicycleState, goal: Vec2,
     raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
 
 
-def _rounding_bound(env: Environment) -> float:
-    """The rounding allowance ``tau`` of the stage certificate: 1e-9 times
-    the diagonal of the bounding box of the workspace and the origin, which
-    bounds every coordinate a clearance query sees."""
-    xy = env.workspace.xy
-    lo = np.minimum(xy.min(axis=0), 0.0)
-    hi = np.maximum(xy.max(axis=0), 0.0)
-    return 1e-9 * math.hypot(*(hi - lo).tolist())
-
-
-def _certificates(pred: PredictionSet, first: tuple, endpoint: float, gain: float,
-                  robot_radius: float) -> tuple[bool, bool]:
-    """What the step's first stage ``first``, its ``(points, padding,
-    clearance, tau)``, certifies at ``pred`` (see the module docstring):
-    whether the endpoint term binds, ``gain * (clearance - 2h - tau) >
-    endpoint`` with h = m + |padding - padding_1|, and whether ``pred`` lies
-    on the free side, ``clearance > 0`` and ``m + tau < clearance +
-    robot_radius + padding_1``; m = max_i |b_i - a_i|.  Neither holds when
-    the point counts differ."""
-    points, padding, clearance, tau = first
-    rows = pred.points.tolist()
-    if len(rows) != len(points):
-        return False, False
-    m = max([math.hypot(bx - ax, by - ay) for (bx, by), (ax, ay) in zip(rows, points)])
+def _pull_binds(pred: PredictionSet, first: tuple, endpoint: float, gain: float,
+                chain: ClearanceChain) -> bool:
+    """Whether the step's first stage ``first``, its ``(points, padding,
+    clearance)``, certifies at ``pred`` that the endpoint term binds (see
+    the module docstring): ``gain * (clearance - 2h - tau) > endpoint`` with
+    h = m + |padding - padding_1|, m from ``chain.move`` and ``tau`` the
+    chain's.  It does not when the point counts differ."""
+    points, padding, clearance = first
+    m = chain.move(pred, points)
+    if m is None:
+        return False
     h = m + abs(pred.padding - padding)
-    return (gain * (clearance - 2.0 * h - tau) > endpoint,
-            clearance > 0.0 and m + tau < clearance + robot_radius + padding)
+    return gain * (clearance - 2.0 * h - chain.tau) > endpoint
 
 
 def governor_field(env: Environment, path: ReferencePath, params: ControllerParams,
                    method: str, config: SimConfig, s: float, x: float, y: float,
-                   th: float, first: Optional[tuple] = None) -> tuple:
+                   th: float, first: Optional[tuple] = None,
+                   chain: Optional[ClearanceChain] = None) -> tuple:
     """Time derivative of the coupled path-parameter / robot-pose state.
 
     Returns ``(s_rate, x_rate, y_rate, th_rate, v, clearance, radius, pred)``:
@@ -161,25 +143,22 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
     endpoint pull, so it never overshoots the path end and freezes whenever
     the predicted motion touches the free-space boundary.
 
-    ``first``, the ``(points, padding, clearance, tau)`` of the step's first
+    ``first``, the ``(points, padding, clearance)`` of the step's first
     stage, marks a later RK4 stage, whose caller reads only the rates and
-    the set: ``radius`` is then None, and so is ``clearance`` when
-    ``_certificates`` certifies that the endpoint pull binds (see the
-    module docstring); the pull is then the path rate, bit for bit what the
-    full evaluation's ``min`` returns.  Otherwise a certified free side
-    lets the clearance query skip its side tests.
+    the set, and needs the episode's ``chain``: ``radius`` is then None, and
+    so is ``clearance`` when ``_pull_binds`` certifies that the endpoint
+    pull binds (see the module docstring); the pull is then the path rate,
+    bit for bit what the full evaluation's ``min`` returns.  A query that
+    runs passes ``chain`` on to ``safety_distance``.
     """
     goal = path.point_at(s)
     pred = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, params, config)
     endpoint = config.endpoint_gain * (path.length - s)
-    binds = free_side = False
-    if first is not None:
-        binds, free_side = _certificates(pred, first, endpoint, config.clearance_gain,
-                                         env.robot_radius)
-    if binds:
+    if first is not None and _pull_binds(pred, first, endpoint, config.clearance_gain,
+                                         chain):
         clearance, s_rate = None, endpoint
     else:
-        clearance = safety_distance(env, pred, free_side)
+        clearance = safety_distance(env, pred, chain)
         s_rate = min(config.clearance_gain * clearance, endpoint)
     radius = prediction_goal_radius(pred, goal) if first is None else None
     x_rate, y_rate, w, v = _adaptive_control(
@@ -310,7 +289,8 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     stop ball inside the freeze ball (``require_stable_step``) are refused.
 
     Each step's first stage is a full ``governor_field`` evaluation, logged
-    with the node; stages 2-4 pass it ``first`` and get the rates only (see
+    with the node; stages 2-4 pass it ``first`` and get the rates only, and
+    every stage's query goes through the episode's ``ClearanceChain`` (see
     the module docstring).  Every stage builds its prediction set and checks
     that a forward simulation converged, and every stage counts in
     ``n_governor_evals`` and ``governor_eval_seconds``.  A
@@ -326,7 +306,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     goal_end = path.point_at(path.length)
     length = path.length
     stop_tol = config.goal_tolerance
-    tau = _rounding_bound(env)
+    chain = ClearanceChain(env)
 
     eval_time = 0.0
     eval_count = 0
@@ -334,7 +314,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     def field(s: float, x: float, y: float, th: float, first: Optional[tuple] = None) -> tuple:
         nonlocal eval_time, eval_count
         t0 = time.perf_counter()
-        k = governor_field(env, path, params, method, config, s, x, y, th, first)
+        k = governor_field(env, path, params, method, config, s, x, y, th, first, chain)
         if not k[7].converged:
             goal = path.point_at(s)
             exc = NonConvergenceError(
@@ -400,7 +380,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         dt = min(config.step, config.max_time - t)  # land exactly on the horizon
         half = 0.5 * dt
         sixth = dt / 6.0
-        first = (k1[7].points.tolist(), k1[7].padding, k1[5], tau)
+        first = (k1[7].points, k1[7].padding, k1[5])
         k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3],
                    first)
         k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3],

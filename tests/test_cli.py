@@ -240,6 +240,24 @@ class TestRun:
         assert capsys.readouterr().err.splitlines()[1].startswith(f"  - {says}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_zero_stop_radius_refused(self, command, tmp_path, capsys):
+        # validated (exit 0), and run --method circle then ended at its 60 s
+        # horizon 9.9e-14 m from the goal (exit 3)
+        scenario = tmp_path / "open.yaml"
+        shutil.copy(SCENARIO_DIR / "open.yaml", scenario)
+
+        def stop_at_zero(d):
+            d["controller"]["goal_tolerance"] = d["integrator"]["goal_tolerance"] = 0.0
+
+        _edit_scenario(scenario, stop_at_zero)
+        out = ["--method", "circle", "--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, "--scenario", str(scenario), *out]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines()[1].startswith(
+            "  - integrator: goal_tolerance 0 m: the robot approaches the path end "
+            "exponentially and never reaches distance 0")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
     def test_out_of_range_scale_refused(self, scale, word, tmp_path, capsys):
         # exited 2 with a NaN clearance at 1e160 and 1 with "repeated

@@ -1,8 +1,5 @@
-import importlib.util
 import math
-import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,6 +535,12 @@ class TestReferencePath:
                            r"distance squares to 0; lengths must be at least about 2.2e-162 m$"):
             ReferencePath([Vec2(0, 0), Vec2(0, 1.2e-274)])
 
+    def test_overflowing_coordinates_refused(self):
+        # the length was inf, and point_at(1.0) returned the start
+        with pytest.raises(ValueError, match=r"^path coordinates overflow: the bounding-box "
+                           r"diagonal \(origin included\) 1e\+200 m squares to infinity$"):
+            ReferencePath([Vec2(0, 0), Vec2(1e200, 0)])
+
     def test_cumulative_lengths_strictly_increasing(self):
         # each waypoint sits at the arc length of the segments before it
         path = ReferencePath([Vec2(0, 0), Vec2(1, 0), Vec2(1, 2)])
@@ -610,20 +613,11 @@ class TestPathClearance:
             assert path_clearance(env, path) == -0.01
 
 
-def _load_bench(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
-def oracle_scenes():
+def oracle_scenes(bench_modules):
     """Each scene as the simulator's Environment and as the independent
     geometry oracle of the benchmark, ``bench/oracle.Scene``."""
-    oracle = _load_bench("oracle")
-    with mock.patch.dict(sys.modules, {"oracle": oracle}):  # scenes.py imports it
-        scenes = _load_bench("scenes")
+    oracle, scenes = bench_modules
     docs = {"office": yaml.safe_load((ROOT / "scenarios" / "office.yaml").read_text()),
             "cluttered": scenes.cluttered_scene(1),
             "degenerate": _DEGENERATE}

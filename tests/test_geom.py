@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,19 @@ class TestPolygon:
         with pytest.raises(ValueError, match=r"^polygon has consecutive vertices whose "
                            r"distance squares to 0; lengths must be at least about 2.2e-162 m$"):
             Polygon([Vec2(0, 0), Vec2(1e-200, 0), Vec2(1e-200, 1e-200)])
+
+    @pytest.mark.parametrize("x, y, size", [(0.0, 0.0, 1e200), (1e160, 1e160, 1e145)],
+                             ids=["large", "far"])
+    def test_overflowing_coordinates_refused(self, x, y, size):
+        # both were accepted while numpy warned of overflow: the large
+        # one's area and orientation products overflowed to inf, and the far
+        # small one's area came out NaN, which passed the orientation test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^polygon coordinates overflow: the "
+                               r"bounding-box diagonal \(origin included\) 1.41e\+\d+ m "
+                               r"squares to infinity$"):
+                Polygon([Vec2(x, y), Vec2(x + size, y), Vec2(x, y + size)])
 
     def test_equality(self):
         assert unit_square() == unit_square()

@@ -67,6 +67,14 @@ class TestStableStep:
                            r"controller's goal_tolerance 0.0001 m"):
             require_stable_step(self.PARAMS, SimConfig(goal_tolerance=1e-6))
 
+    def test_zero_stop_radius_refused(self):
+        # both radii 0 passed the freeze-ball rule, and the run ended at its
+        # horizon 9.9e-14 m from the goal
+        with pytest.raises(ValueError, match=r"^goal_tolerance 0 m: the robot approaches the "
+                           r"path end exponentially and never reaches distance 0"):
+            require_stable_step(ControllerParams(goal_tolerance=0.0),
+                                SimConfig(goal_tolerance=0.0))
+
     def test_default_prediction_step_follows_step(self):
         config = SimConfig(step=0.95, endpoint_gain=1.0)
         with pytest.raises(ValueError, match=r"^step 0.95 s"):

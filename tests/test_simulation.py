@@ -1,10 +1,7 @@
 import dataclasses
-import importlib.util
 import math
-import sys
 from array import array
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headway_sim import environment, simulation
-from headway_sim.environment import ClearanceError, Environment, ReferencePath, safety_distance
+from headway_sim.environment import (
+    ClearanceChain,
+    ClearanceError,
+    Environment,
+    ReferencePath,
+    _rounding_bound,
+    path_clearance,
+    safety_distance,
+)
 from headway_sim.geom import _BLOCK_PAIRS, Polygon, Vec2
 from headway_sim.ode import SimConfig
 from headway_sim.prediction import Disk, PredictionSet, Tri
@@ -20,7 +25,6 @@ from headway_sim.scenario import load_scenario, scenario_from_dict
 from headway_sim.simulation import (
     CSV_COLUMNS,
     METHODS,
-    _rounding_bound,
     governor_field,
     prediction_set,
     read_trajectory_csv,
@@ -112,10 +116,14 @@ class TestRunEpisode:
         ({"clearance_gain": 1e4}, r"^step 0.01 s .* 1e\+04 1/s is 100, beyond RK4's stability"),
         ({"goal_tolerance": 1e-6}, r"^goal_tolerance 1e-06 m is below the controller's "
                                    r"goal_tolerance 0.0001 m"),
-    ], ids=["clearance-gain", "stop-radius"])
+        ({"goal_tolerance": 0.0}, r"^goal_tolerance 0 m: the robot approaches the path end "
+                                  r"exponentially"),
+    ], ids=["clearance-gain", "stop-radius", "zero-stop-radius"])
     def test_rejects_settings_that_cannot_end_safely(self, change, says, simple_setup,
                                                       monkeypatch):
         env, path, params, config = simple_setup
+        if change.get("goal_tolerance") == 0.0:  # with the freeze radius at 0 as well
+            params = dataclasses.replace(params, goal_tolerance=0.0)
         monkeypatch.setattr(simulation, "governor_field", _must_not_run)
         with pytest.raises(ValueError, match=says):
             run_episode(env, path, params, "triangle", dataclasses.replace(config, **change))
@@ -333,18 +341,9 @@ class TestPauseSignals:
         assert 0.05 < fractions["open"] < 0.2 and 0.8 < fractions["office"] < 0.95
 
 
-def _load_bench(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
-def certificate_scenes():
-    oracle = _load_bench("oracle")
-    with mock.patch.dict(sys.modules, {"oracle": oracle}):  # scenes.py imports it
-        scenes = _load_bench("scenes")
+def certificate_scenes(bench_modules):
+    scenes = bench_modules[1]
     return {"office": load_scenario(ROOT / "scenarios" / "office.yaml"),
             "cluttered": scenario_from_dict(scenes.cluttered_scene(1))}
 
@@ -362,9 +361,10 @@ _nudge = st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2), st.floats(-1e-6, 1e-6))
 
 class TestStageCertificate:
     """Stages 2-4 of a step skip their clearance query when the first
-    stage's set certifies that the endpoint pull binds, and the query's side
-    tests when it certifies the free side (module docstring of
-    ``simulation``)."""
+    stage's set certifies that the endpoint pull binds (module docstring of
+    ``simulation``), and a chained query skips its side tests when the last
+    queried set certifies the free side (module docstring of
+    ``environment``)."""
 
     @pytest.mark.parametrize("name", ["office", "cluttered"])
     @pytest.mark.parametrize("method", ["circle", "triangle"])
@@ -394,10 +394,10 @@ class TestStageCertificate:
         assert bound <= 0.0 or safety_distance(env, p2) >= bound
         # the run's certificate is this bound: it passes an endpoint pull
         # just below it and refuses one just above
-        first = (p1.points.tolist(), p1.padding, clearance, tau)
-        gain, radius = sc.sim.clearance_gain, env.robot_radius
-        assert simulation._certificates(p2, first, gain * bound - 1e-9, gain, radius)[0]
-        assert not simulation._certificates(p2, first, gain * bound + 1e-9, gain, radius)[0]
+        first, chain = (p1.points, p1.padding, clearance), ClearanceChain(env)
+        gain = sc.sim.clearance_gain
+        assert simulation._pull_binds(p2, first, gain * bound - 1e-9, gain, chain)
+        assert not simulation._pull_binds(p2, first, gain * bound + 1e-9, gain, chain)
 
     @pytest.mark.parametrize("name", ["office", "cluttered"])
     @pytest.mark.parametrize("method", ["circle", "triangle"])
@@ -426,12 +426,12 @@ class TestStageCertificate:
         p2 = prediction_set(method, UnicycleState(Vec2(x + nudge[0], y + nudge[1]),
                                                   th + nudge[2]),
                             goal2, sc.controller, sc.sim)
-        clearance = safety_distance(env, p1)
-        first = (p1.points.tolist(), p1.padding, clearance, _rounding_bound(env))
-        free = simulation._certificates(p2, first, 0.0, sc.sim.clearance_gain,
-                                        env.robot_radius)[1]
-        if free:
-            assert safety_distance(env, p2, True).hex() == safety_distance(env, p2).hex()
+        chain = ClearanceChain(env)
+        clearance = safety_distance(env, p1, chain)
+        assert chain.kind == "full" and clearance.hex() == safety_distance(env, p1).hex()
+        later = safety_distance(env, p2, chain)
+        free = chain.kind != "full"  # the side tests were skipped
+        assert later.hex() == safety_distance(env, p2).hex()
         # a first set on the wrong side or at the boundary never certifies
         assert clearance > 0.0 or not free
 
@@ -455,15 +455,14 @@ class TestStageCertificate:
         gx, gy = (lo + (np.array(anywhere) * 2.0 - 0.5) * (hi - lo)).tolist()
         p1 = prediction_set(method, UnicycleState(Vec2(gx + offset[0], gy + offset[1]), th),
                             Vec2(gx, gy), sc.controller, sc.sim)
-        clearance, tau = safety_distance(env, p1), _rounding_bound(env)
+        chain = ClearanceChain(env)
+        clearance = safety_distance(env, p1, chain)
         move = reach * (clearance + env.robot_radius + p1.padding)
         moved = p1.points + [move * math.cos(heading), move * math.sin(heading)]
         p2 = Tri(moved) if p1.filled else PredictionSet(moved, p1.padding)
-        first = (p1.points.tolist(), p1.padding, clearance, tau)
-        free = simulation._certificates(p2, first, 0.0, sc.sim.clearance_gain,
-                                        env.robot_radius)[1]
-        if free:
-            assert safety_distance(env, p2, True).hex() == safety_distance(env, p2).hex()
+        later = safety_distance(env, p2, chain)
+        free = chain.kind != "full"  # the side tests were skipped
+        assert later.hex() == safety_distance(env, p2).hex()
         # d >= robot_radius, so tau / d < 1e-7: the certificate holds for
         # every move below d but the last part in a million, and no further
         if abs(reach - 1.0) > 1e-6:
@@ -484,17 +483,185 @@ class TestStageCertificate:
         else:
             p1 = Tri([[2.5, 1.0], [4.3, 1.0], [2.5, 1.2]])
             p2 = Tri([[2.5, 1.01], [4.3, 1.01], [2.5, 1.21]])
-        clearance, tau = safety_distance(env, p1), _rounding_bound(env)
+        chain = ClearanceChain(env)
+        clearance = safety_distance(env, p1, chain)
         assert clearance == 0.0 == safety_distance(env, p2)
-        assert 0.01 + tau < env.robot_radius + p1.padding
-        assert safety_distance(env, p2, True) > 0.0
-        first = (p1.points.tolist(), p1.padding, clearance, tau)
-        assert simulation._certificates(p2, first, 0.0, 4.0, env.robot_radius) == (False, False)
+        assert 0.01 + chain.tau < env.robot_radius + p1.padding
+        assert safety_distance(env, p2, chain) == 0.0 and chain.kind == "full"
+        first = (p1.points, p1.padding, clearance)
+        assert not simulation._pull_binds(p2, first, 0.0, 4.0, chain)
+        # a chain that took p1's clearance for positive would skip p2's side
+        # tests and report a positive clearance
+        chain.points, chain.clearance = p1.points, math.ulp(0.0)
+        assert safety_distance(env, p2, chain) > 0.0 and chain.kind == "refresh"
 
     def test_rounding_bound_scales_with_the_scene(self):
         env = Environment(Polygon([Vec2(3, 4), Vec2(6, 4), Vec2(6, 8), Vec2(3, 8)]), [], 0.1)
         # the box of the workspace and the origin: (0, 0) to (6, 8)
         assert _rounding_bound(env) == 1e-9 * 10.0
+
+
+def _passage_case():
+    """A straight path through a passage 0.02 m wider than the robot's
+    diameter: 0.01 m of path clearance."""
+    walls = [Polygon([Vec2(3, 0.2), Vec2(7, 0.2), Vec2(7, 1.69), Vec2(3, 1.69)]),
+             Polygon([Vec2(3, 2.31), Vec2(7, 2.31), Vec2(7, 3.8), Vec2(3, 3.8)])]
+    env = Environment(Polygon([Vec2(0, 0), Vec2(10, 0), Vec2(10, 4), Vec2(0, 4)]), walls,
+                      robot_radius=0.3)
+    return env, ReferencePath([Vec2(0.5, 2.0), Vec2(9.5, 2.0)]), ControllerParams(), SimConfig()
+
+
+def _chain_walk(env, path, params, config, seed):
+    """A seeded walk of prediction sets, as (set, aligned) pairs; aligned is
+    the triangle's branch, None for a disk.
+
+    In order: triangles drifting along the path by steps of a fraction of
+    its clearance; a sweep of the heading across the alignment boundary; a
+    switch to disks (point count 1), the first of them moved by three
+    quarters of the distance it keeps from the boundary, which forces a
+    refresh after the switch's full query; a triangle whose goal is a
+    boundary vertex (clearance 0.0); triangles drifting again, the last one
+    moved like the disk.
+    """
+    rng = np.random.default_rng(seed)
+    eps = params.headway_coeff
+    step = min(3e-3, 0.05 * path_clearance(env, path))
+    s = rng.uniform(0.0, path.length)
+    goal = path.point_at(s)
+    x, y = goal.x + rng.uniform(-step, step), goal.y + rng.uniform(-step, step)
+    th = rng.uniform(-math.pi, math.pi)
+    walk = []
+
+    def add(method, goal, x, y, th):
+        pred = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, params, config)
+        dx, dy = goal.x - x, goal.y - y
+        r = math.hypot(dx, dy)
+        aligned = None if method == "circle" else r > 0.0 and (
+            math.cos(th) * dx + math.sin(th) * dy) / r >= eps
+        walk.append((pred, aligned))
+
+    def drift(method, n):
+        nonlocal s, x, y, th
+        for _ in range(n):
+            s = min(s + rng.uniform(0.0, 3.0 * step), path.length)
+            x, y = x + rng.uniform(-step, step), y + rng.uniform(-step, step)
+            th += rng.uniform(-0.02, 0.02)
+            add(method, path.point_at(s), x, y, th)
+
+    def move_last():
+        pred, aligned = walk[-1]
+        reach = safety_distance(env, pred) + env.robot_radius + pred.padding
+        heading = rng.uniform(-math.pi, math.pi)
+        moved = pred.points + [0.75 * reach * math.cos(heading), 0.75 * reach * math.sin(heading)]
+        walk[-1] = (Tri(moved) if pred.filled else PredictionSet(moved, pred.padding), aligned)
+
+    drift("triangle", 12)
+    goal = path.point_at(s)
+    bearing = math.atan2(goal.y - y, goal.x - x)
+    for turn in np.linspace(-0.05, 0.05, 8):
+        add("triangle", goal, x, y, bearing + math.acos(eps) + turn)
+    drift("circle", 1)
+    walk.append(walk[-1])
+    move_last()
+    drift("circle", 6)
+    vertex = env._edge_a[rng.integers(len(env._edge_a))].tolist()
+    add("triangle", Vec2(*vertex), vertex[0] + step, vertex[1] - step, th)
+    drift("triangle", 8)
+    walk.append(walk[-1])
+    move_last()
+    return walk
+
+
+_WALK_SCENES = ("office", "cluttered", "passage")
+
+
+@pytest.fixture(scope="module")
+def walk_scenes(certificate_scenes):
+    scenes = {name: (sc.environment, sc.path, sc.controller, sc.sim)
+              for name, sc in certificate_scenes.items()}
+    scenes["passage"] = _passage_case()
+    return scenes
+
+
+class TestClearanceChain:
+    """Chained queries along seeded walks equal the full query bit for bit,
+    and each makes the kind of query the ``environment`` docstring's
+    argument allows: full, refresh or culled."""
+
+    @staticmethod
+    def _run(env, walk):
+        """Query the walk through one chain; returns the events seen."""
+        chain = ClearanceChain(env)
+        seen = set()
+        last = None  # the last queried set and its clearance
+        for pred, aligned in walk:
+            before = (chain.limit, chain.moved, chain.best)
+            clearance = safety_distance(env, pred, chain)
+            assert clearance.hex() == safety_distance(env, pred).hex()
+            rows = pred.points.tolist()
+            # the side certificate: the last set's clearance is positive,
+            # it has as many points and the same fill, and it lies within
+            # m + tau < clearance + robot_radius + padding
+            side = last is not None and last[1] > 0.0 and len(rows) == len(last[0].points)
+            if side and pred.filled == last[0].filled:
+                m = max(math.hypot(bx - ax, by - ay)
+                        for (bx, by), (ax, ay) in zip(rows, last[0].points.tolist()))
+                side = m + chain.tau < last[1] + env.robot_radius + last[0].padding
+            else:
+                side = False
+            if not side:
+                assert chain.kind == "full"
+            else:  # the kept columns can bind while limit - D >= best + m + tau
+                limit, moved, best = before
+                culled = limit - (moved + m) >= best + m + chain.tau
+                assert chain.kind == ("culled" if culled else "refresh")
+            seen.add(chain.kind)
+            if last is not None:
+                if last[1] == 0.0:
+                    seen.add("after zero")
+                if len(rows) != len(last[0].points):
+                    seen.add("count change")
+                if aligned is not None and last[2] is not None and aligned != last[2] \
+                        and chain.kind != "full":
+                    seen.add("branch switch")
+            last = (pred, clearance, aligned)
+        return seen
+
+    @pytest.mark.parametrize("name", _WALK_SCENES)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_query(self, walk_scenes, name, seed):
+        env, path, params, config = walk_scenes[name]
+        self._run(env, _chain_walk(env, path, params, config, seed))
+
+    @pytest.mark.parametrize("name", _WALK_SCENES)
+    def test_walks_reach_every_kind(self, walk_scenes, name):
+        # the first seeds' walks make every kind of query, break the chain
+        # at a boundary vertex, change the point count and cross the
+        # triangle's alignment boundary inside the chain
+        env, path, params, config = walk_scenes[name]
+        seen = set()
+        for seed in range(3):
+            seen |= self._run(env, _chain_walk(env, path, params, config, seed))
+        assert seen == {"full", "refresh", "culled", "after zero", "count change",
+                        "branch switch"}
+
+    def test_reuses_a_move_only_from_the_last_queried_set(self, walk_scenes):
+        # the endpoint test measures m from the step's first set; the query
+        # that follows reuses it only when that set is the last queried one
+        env = walk_scenes["passage"][0]
+        p1, p2 = Disk(Vec2(1.0, 2.0), 0.0), Disk(Vec2(1.01, 2.0), 0.0)
+        chain = ClearanceChain(env)
+        safety_distance(env, p1, chain)
+        assert chain.move(p2, Disk(Vec2(9.0, 2.0), 0.0).points) > 7.9
+        assert safety_distance(env, p2, chain) > 0.0 and chain.kind != "full"
+        assert chain.move(p1, chain.points) == pytest.approx(0.01)
+        assert safety_distance(env, p1, chain) > 0.0 and chain.kind != "full"
+
+    def test_refuses_a_chain_of_another_environment(self, walk_scenes):
+        env, other = walk_scenes["office"][0], walk_scenes["passage"][0]
+        with pytest.raises(ValueError, match="another environment"):
+            safety_distance(env, Disk(Vec2(1.0, 1.0), 0.1), ClearanceChain(other))
 
 
 def _reference_episode(env, path, params, method, config):
@@ -548,9 +715,10 @@ def _short_forward_sim_case():
 
 
 class TestStagesMatchFullEvaluations:
-    """``run_episode`` with the stage certificate equals, bit for bit, the
-    loop that runs the full governor at every stage, while later stages
-    make fewer clearance queries and no goal-radius calls."""
+    """``run_episode`` with the stage certificate and the clearance chain
+    equals, bit for bit, the loop that runs the full governor at every
+    stage, while later stages make fewer clearance queries and no
+    goal-radius calls, and the parity runs once per full query."""
 
     @pytest.mark.parametrize("case", ["open/triangle", "office/circle", "short/forward-sim"])
     def test_identical_to_full_evaluations(self, case, monkeypatch):
@@ -563,14 +731,17 @@ class TestStagesMatchFullEvaluations:
         columns, t, evals, converged = _reference_episode(env, path, params, method, config)
 
         counts = {"safety_distance": 0, "prediction_goal_radius": 0, "_wrong_side": 0,
-                  "_crossings": 0}
-        for name in counts:
+                  "_crossings": 0, "full": 0, "refresh": 0, "culled": 0}
+        for name in list(counts)[:4]:
             module = environment if name.startswith("_") else simulation
             real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name):
                 counts[_name] += 1
-                return _real(*args)
+                value = _real(*args)
+                if _name == "safety_distance":  # every query passes the episode's chain
+                    counts[args[2].kind] += 1
+                return value
 
             monkeypatch.setattr(module, name, counted)
         res = run_episode(env, path, params, method, config)
@@ -590,14 +761,20 @@ class TestStagesMatchFullEvaluations:
             assert counts["safety_distance"] < nodes + 0.25 * later
         # the parity runs once per margin block: the path clearance's vertex
         # margins take ceil(waypoints / rows) blocks, one on these three
-        # scenes, and the node margins ceil(nodes / rows); each query runs
-        # it unless its side is certified, and a triangle's crossings
-        # follow a parity that passed
+        # scenes, and the node margins ceil(nodes / rows); and once per full
+        # query of the chain, whose refreshed and culled queries inherit the
+        # free side; a triangle's crossings follow a parity that passed
         rows = max(1, _BLOCK_PAIRS // len(env._edge_a))
         path_blocks, blocks = -(-len(path.waypoints) // rows), -(-nodes // rows)
         assert path_blocks == 1
         parity = counts["_wrong_side"] - path_blocks - blocks
-        assert nodes <= parity <= counts["safety_distance"]
+        assert counts["full"] + counts["refresh"] + counts["culled"] == counts["safety_distance"]
+        assert parity == counts["full"]
         assert counts["_crossings"] == (parity if method == "triangle" else 0)
-        if case != "short/forward-sim":  # a later stage certifies its side
-            assert parity < nodes + 0.01 * later
+        if case != "short/forward-sim":
+            # one full query an episode; a refresh for fewer than one query
+            # in fifty, and the rest read only the kept columns
+            assert counts["full"] == 1
+            assert counts["refresh"] < 0.02 * counts["safety_distance"]
+        else:  # a set whose inner run differs in length re-seeds the chain
+            assert 1 < counts["full"] < counts["culled"]
