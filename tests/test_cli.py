@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from headway_sim import cli, simulation
+from headway_sim import scenario as scenario_module
 from headway_sim.cli import (
     EXIT_CLEARANCE,
     EXIT_COLLISION,
@@ -62,7 +63,11 @@ def corridor(tmp_path):
 def _edit_scenario(path, mutate):
     data = yaml.safe_load(path.read_text())
     mutate(data)
-    path.write_text(yaml.safe_dump(data))
+    text = yaml.safe_dump(data)
+    path.write_text(text)
+    # the scenario module's loader reads what was written as PyYAML's own does
+    assert (yaml.load(text, Loader=scenario_module._LOADER)
+            == yaml.load(text, Loader=yaml.SafeLoader))
 
 
 class TestValidate:
@@ -119,6 +124,20 @@ class TestValidate:
         bad = tmp_path / "bad.yaml"
         bad.write_text("nope: [unclosed\n")
         assert main(["validate", "--scenario", str(bad)]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("loader", ["module", "pure-python"])
+    def test_parse_error_names_path_line_and_column(self, loader, tmp_path, capsys,
+                                                    monkeypatch):
+        # libyaml's message drops the source snippet PyYAML's own prints
+        if loader == "pure-python":
+            monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("a: [1, 2\n")
+        assert main(["validate", "--scenario", str(bad)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario parse error: {bad}: YAML parse error: ")
+        assert "while parsing a flow sequence" in err
+        assert "line 1, column 4" in err
 
 
 class TestRun:

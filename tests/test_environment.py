@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from headway_sim.environment import (
+    _NEAR_EDGES,
     Environment,
     ReferencePath,
+    _signed_distances,
     margin_points,
     path_clearance,
     safety_distance,
@@ -711,3 +713,48 @@ class TestAgreesWithOracle:
             assert abs(got - want) <= 1e-9
         else:
             assert got <= -env.robot_radius
+
+
+# a run of consecutive points: it starts on the line of boundary edge k at
+# parameter t (a vertex at 0 or 1) moved h m along the edge's left normal
+# (into the edge's polygon for h > 0: inside an obstacle, or back into the
+# workspace), and takes n steps of the given length at the given angle to
+# the edge: along it (grazing), across it (crossing into or out of a
+# polygon) or any; after `lead` sparse points of the box, so run anchors
+# fall anywhere along the walk
+_walk = st.tuples(
+    st.integers(0, 10**6), _edge_t,
+    st.just(0.0) | st.floats(-0.8, 0.8) | st.floats(-1e-6, 1e-6),
+    st.sampled_from([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi]) | st.floats(-np.pi, np.pi),
+    st.floats(1e-5, 0.05), st.integers(1, 100))
+
+
+class TestNearEdgeMargins:
+    """``margin_points`` on a boundary above ``_NEAR_EDGES`` (cluttered, 580
+    edges) measures runs of points against their nearby edges only; below it
+    (office, 20 edges) every row is full width.  Either way the margins are
+    the full-width blocks', bit for bit."""
+
+    @pytest.mark.parametrize("name", ["office", "cluttered"])
+    @settings(max_examples=300, deadline=None)
+    @given(walks=st.lists(_walk, min_size=1, max_size=3),
+           lead=st.lists(st.tuples(_unit, _unit), max_size=40))
+    def test_equal_to_full_width(self, oracle_scenes, name, walks, lead):
+        env, truth = oracle_scenes[name]
+        lo, hi = truth.workspace.min(axis=0), truth.workspace.max(axis=0)
+        pts = [lo + np.array(lead).reshape(-1, 2) * (hi - lo)]
+        for k, t, h, angle, step, n in walks:
+            k %= len(truth.edge_a)
+            d = truth.edge_b[k] - truth.edge_a[k]
+            u = d / np.hypot(*d)
+            start = truth.edge_a[k] + t * d + h * np.array([-u[1], u[0]])
+            c, s = np.cos(angle), np.sin(angle)
+            heading = np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
+            pts.append(start + step * np.arange(n)[:, None] * heading)
+        pts = np.vstack(pts)
+        full = _signed_distances(env, pts) - env.robot_radius
+        assert np.array_equal(margin_points(env, pts), full)
+
+    def test_scenes_lie_on_both_sides_of_the_threshold(self, oracle_scenes):
+        assert len(oracle_scenes["office"][0]._edge_a) <= _NEAR_EDGES
+        assert len(oracle_scenes["cluttered"][0]._edge_a) > _NEAR_EDGES

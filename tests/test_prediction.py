@@ -391,6 +391,32 @@ class TestPredictionGoalRadius:
         hull = PredictionSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.25)
         assert prediction_goal_radius(hull, ORIGIN) == pytest.approx(1.25, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.just(300) | st.integers(1, 300),
+           scale=st.integers(-163, -154) | st.integers(-170, 150),
+           kind=st.sampled_from(["cloud", "ring", "cluster"]), padded=st.booleans())
+    # the point of the largest square is not the one of the largest hypot
+    @example(seed=5, n=60, scale=-3, kind="ring", padded=False)
+    @example(seed=2, n=300, scale=-3, kind="ring", padded=False)
+    def test_equals_the_hypot_loop(self, seed, n, scale, kind, padded):
+        # sets above the loop's size take hypot only near the largest square;
+        # rings tie the distances to the last bits (which a padding of their
+        # size may round away), and from about 1e-154 m down the squares lose
+        # precision to underflow
+        rng = np.random.default_rng(seed)
+        size = 10.0 ** scale
+        goal = rng.normal(size=2) * size
+        if kind == "ring":
+            angle = rng.uniform(-np.pi, np.pi, n)
+            pts = goal + size * np.column_stack([np.cos(angle), np.sin(angle)])
+        else:
+            spread = size * (10.0 ** rng.uniform(-16, 0) if kind == "cluster" else 1.0)
+            pts = goal + rng.normal(size=(n, 2)) * spread
+        pred = PredictionSet(pts, float(rng.uniform(0, 1)) * size if padded else 0.0)
+        g = Vec2(*goal)
+        loop = max(math.hypot(x - g.x, y - g.y) for x, y in pts.tolist()) + pred.padding
+        assert prediction_goal_radius(pred, g) == loop
+
 
 @pytest.fixture(scope="module")
 def cases():

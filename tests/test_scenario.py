@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from headway_sim import scenario as scenario_module
 from headway_sim.environment import ClearanceError
 from headway_sim.scenario import (
     ScenarioParseError,
@@ -21,6 +22,16 @@ def office_data():
         return yaml.safe_load(fh)
 
 
+def assert_loaders_agree(path):
+    """The scenario module's loader and PyYAML's pure-Python one build the
+    same document from the file, down to the type of every scalar."""
+    text = Path(path).read_text()
+    ours = yaml.load(text, Loader=scenario_module._LOADER)
+    python = yaml.load(text, Loader=yaml.SafeLoader)
+    assert ours == python
+    assert repr(ours) == repr(python)
+
+
 class TestShippedScenarios:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_loads_and_validates(self, name):
@@ -34,7 +45,28 @@ class TestShippedScenarios:
         scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         out = tmp_path / f"{name}.yaml"
         write_scenario(scenario, out)
+        assert_loaders_agree(out)
         assert load_scenario(out) == scenario
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_loaders_agree_on_every_scenario_file(self, path):
+        assert_loaders_agree(path)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_loads_with_the_pure_python_loader(self, name, monkeypatch):
+        # PyYAML built without libyaml falls back to this loader
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        assert load_scenario(SCENARIO_DIR / f"{name}.yaml") == scenario
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_loaders_agree_on_the_cluttered_scene(self, seed, bench_modules, tmp_path):
+        _, scenes = bench_modules
+        data = scenes.cluttered_scene(seed)
+        out = tmp_path / "cluttered.yaml"
+        out.write_text(yaml.safe_dump(data))
+        assert_loaders_agree(out)
+        assert load_scenario(out) == scenario_from_dict(data, source=str(out))
 
 
 class TestValidation:
@@ -211,6 +243,7 @@ class TestLoadScenario:
         del data["initial_theta"]
         f = tmp_path / "min.yaml"
         f.write_text(yaml.safe_dump(data))
+        assert_loaders_agree(f)
         scenario = load_scenario(f)
         assert scenario.controller.headway_coeff == 0.5
         assert scenario.controller.ref_gain == 1.0
@@ -231,6 +264,7 @@ class TestLoadScenario:
         scenario = scenario_from_dict(data)
         out = tmp_path / "written.yaml"
         write_scenario(scenario, out)
+        assert_loaders_agree(out)
         assert "prediction_step" not in out.read_text()
         assert load_scenario(out) == scenario
 
