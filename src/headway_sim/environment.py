@@ -92,17 +92,6 @@ from .geom import (
 )
 from .prediction import _LOOP_POINTS, PredictionSet
 
-__all__ = [
-    "Environment",
-    "ClearanceChain",
-    "ReferencePath",
-    "ClearanceError",
-    "margin_points",
-    "safety_distance",
-    "path_clearance",
-    "require_path_clearance",
-]
-
 
 class ClearanceError(Exception):
     """A reference path touches or leaves the free space."""

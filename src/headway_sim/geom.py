@@ -28,16 +28,6 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "Vec2",
-    "Triangle",
-    "Polygon",
-    "segments_meet",
-    "triangle_contains",
-    "triangle_distance",
-    "min_distance_to_segments",
-]
-
 
 @dataclass(frozen=True)
 class Vec2:

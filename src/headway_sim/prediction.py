@@ -32,20 +32,8 @@ import math
 import numpy as np
 
 from .geom import Triangle, Vec2, triangle_distance
-from .ode import SimConfig, simulate_to_goal
+from .ode import SimConfig, Trajectory, simulate_to_goal
 from .unicycle import ControllerParams, UnicycleState, _turning_frame
-
-__all__ = [
-    "PredictionSet",
-    "Disk",
-    "Tri",
-    "circular_prediction",
-    "triangular_bound",
-    "triangular_prediction",
-    "forward_sim_prediction",
-    "prediction_distance",
-    "prediction_goal_radius",
-]
 
 
 class PredictionSet:
@@ -199,8 +187,12 @@ def forward_sim_prediction(state: UnicycleState, goal: Vec2, params: ControllerP
     excursions to first order; the set is a reference baseline rather than a
     certified bound.
     """
-    traj = simulate_to_goal(state, goal, params, step=sim.inner_step(),
-                            goal_tol=sim.goal_tolerance)
+    return _sampled_set(simulate_to_goal(state, goal, params, step=sim.inner_step(),
+                                         goal_tol=sim.goal_tolerance))
+
+
+def _sampled_set(traj: Trajectory) -> PredictionSet:
+    """A run's positions padded by half its largest step chord."""
     pts = traj.positions
     if len(pts) < 2:
         padding = 0.0

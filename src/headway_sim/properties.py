@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,10 +23,12 @@ from .geom import (
     min_distance_to_segments,
     triangle_distance,
 )
-from .ode import SimConfig, Trajectory, rollout, simulate_to_goal
+from .ode import SimConfig, Trajectory, rollout, simulate_many, simulate_to_goal
 from .prediction import (
     Disk,
+    PredictionSet,
     Tri,
+    _sampled_set,
     _triangle_rows,
     circular_prediction,
     forward_sim_prediction,
@@ -43,28 +46,6 @@ from .unicycle import (
     headway_point,
     wrap_angle,
 )
-
-__all__ = [
-    "CheckResult",
-    "TrajectoryCase",
-    "sample_trajectory_cases",
-    "check_goal_point_equivalence",
-    "check_position_bracket",
-    "check_distance_order",
-    "check_alignment_monotone",
-    "check_aligned_forward_motion",
-    "check_global_convergence",
-    "check_headway_reference_consistency",
-    "check_fixed_headway_offset",
-    "check_trajectory_containment",
-    "check_positive_inclusion",
-    "check_radius_decay",
-    "check_branch_continuity",
-    "check_distance_lipschitz",
-    "check_rk4_order",
-    "check_nonholonomic_exact",
-    "run_all",
-]
 
 # empirical bound on the prediction-distance Lipschitz constant over the
 # sampled state box (r <= 4, eps <= 0.8); measured values stay below ~9
@@ -134,14 +115,15 @@ def sample_trajectory_cases(seed: int, n: int) -> list[TrajectoryCase]:
     """
     rng = np.random.default_rng(seed)
     step = 0.01
-    cases = []
+    states, goals, params = [], [], []
     for i in range(n):
-        params = _sample_params(rng, (0.3, 0.8))
-        aligned = i < n // 2
-        state, goal = _sample_goal_state(rng, aligned=aligned, eps=params.headway_coeff)
-        traj = simulate_to_goal(state, goal, params, step=step)
-        cases.append(TrajectoryCase(state, goal, params, step, traj))
-    return cases
+        params.append(_sample_params(rng, (0.3, 0.8)))
+        state, goal = _sample_goal_state(rng, aligned=i < n // 2, eps=params[-1].headway_coeff)
+        states.append(state)
+        goals.append(goal)
+    trajs = dict(simulate_many(states, goals, params, step))
+    return [TrajectoryCase(*run, step, trajs[i])
+            for i, run in enumerate(zip(states, goals, params))]
 
 
 def _series(case: TrajectoryCase) -> dict[str, np.ndarray]:
@@ -295,22 +277,29 @@ def check_global_convergence(seed: int = 0, n: int = 100,
                              target: float = 1e-3) -> CheckResult:
     """Every start reaches the goal ball within the contraction time budget."""
     rng = np.random.default_rng(seed)
-    worst_slack = math.inf
+    states, goals, params, budgets = [], [], [], []
     for _ in range(n):
-        params = _sample_params(rng, eps_range=(0.2, 0.8))
+        params.append(_sample_params(rng, eps_range=(0.2, 0.8)))
         state, goal = _sample_goal_state(rng, r_range=(0.5, 4.0))
-        h0 = (headway_point(state, goal, params) - goal).norm()
+        states.append(state)
+        goals.append(goal)
+        h0 = (headway_point(state, goal, params[-1]) - goal).norm()
         # the headway point contracts exponentially, and |p-g| <= |h-g|/(1-eps)
-        budget = math.log(h0 / ((1.0 - params.headway_coeff) * target)) / params.ref_gain
-        traj = simulate_to_goal(state, goal, params, step=0.01, goal_tol=target,
-                                max_time=budget + 0.5)
-        if not traj.converged:
+        budgets.append(math.log(h0 / ((1.0 - params[-1].headway_coeff) * target))
+                       / params[-1].ref_gain)
+    ends = {i: (traj.converged, traj.t[-1]) for i, traj in
+            simulate_many(states, goals, params, step=0.01, goal_tol=target,
+                          max_times=[budget + 0.5 for budget in budgets])}
+    worst_slack = math.inf
+    for i, budget in enumerate(budgets):
+        converged, end = ends[i]
+        if not converged:
             return CheckResult("global-convergence", False,
                                f"run missed the {target} ball within {budget:.2f}s")
-        worst_slack = min(worst_slack, budget - traj.t[-1])
-        if traj.t[-1] > budget + 0.011:
+        worst_slack = min(worst_slack, budget - end)
+        if end > budget + 0.011:
             return CheckResult("global-convergence", False,
-                               f"reached at {traj.t[-1]:.3f}s past budget {budget:.3f}s")
+                               f"reached at {end:.3f}s past budget {budget:.3f}s")
     return CheckResult("global-convergence", True,
                        f"{n} starts converged, min budget slack {worst_slack:.3f}s")
 
@@ -385,11 +374,24 @@ def _banded_distances(pts: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return d
 
 
+def _forward_sim_hulls(cases: list[TrajectoryCase]) -> Iterator[tuple[int, PredictionSet]]:
+    """Yield ``(i, forward-sim set of case i's initial state at twice its
+    step)`` as each run stops, one batch a step.  The stop radius is the
+    controller's own, as with ``goal_tol=params.goal_tolerance``."""
+    for step in {case.step for case in cases}:
+        group = [i for i, case in enumerate(cases) if case.step == step]
+        runs = [(cases[i].state, cases[i].goal, cases[i].params) for i in group]
+        for k, traj in simulate_many(*zip(*runs), 2.0 * step):
+            yield group[k], _sampled_set(traj)
+
+
 def _containment_violations(cases: list[TrajectoryCase]) -> dict[str, float]:
     """Worst excursion of the trajectories beyond each prediction set of
     their initial states, floored at 0; see ``check_trajectory_containment``."""
     worst = {"circle": 0.0, "triangle-bound": 0.0, "triangle": 0.0, "forward-sim": 0.0}
-    for case in cases:
+    # each worst value is a maximum, so the order of the cases does not matter
+    for i, hull in _forward_sim_hulls(cases):
+        case = cases[i]
         pts = case.traj.positions
         goal = case.goal
         disk = circular_prediction(case.state, goal, case.params)
@@ -400,10 +402,6 @@ def _containment_violations(cases: list[TrajectoryCase]) -> dict[str, float]:
         worst["triangle-bound"] = max(worst["triangle-bound"],
                                       float(triangle_distance(bound, pts).max()))
         worst["triangle"] = max(worst["triangle"], float(triangle_distance(tri, pts).max()))
-        hull = forward_sim_prediction(
-            case.state, goal, case.params,
-            SimConfig(step=case.step, prediction_step=2.0 * case.step,
-                      goal_tolerance=case.params.goal_tolerance, max_time=120.0))
         d = _banded_distances(pts, hull.points)
         far = d > hull.padding
         if far.any():

@@ -17,8 +17,6 @@ import numpy as np
 from .environment import Environment, ReferencePath
 from .prediction import PredictionSet
 
-__all__ = ["RenderSpec", "RenderError", "render_svg", "speed_profile_svg"]
-
 _TRAJECTORY_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 

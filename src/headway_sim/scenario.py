@@ -40,17 +40,6 @@ from .ode import SimConfig, require_stable_step
 from .simulation import METHODS
 from .unicycle import ControllerParams
 
-__all__ = [
-    "Scenario",
-    "ScenarioError",
-    "ScenarioParseError",
-    "ScenarioValidationError",
-    "load_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "write_scenario",
-]
-
 
 class ScenarioError(Exception):
     """Base class for scenario loading problems."""

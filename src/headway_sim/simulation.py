@@ -71,17 +71,6 @@ from .prediction import (
 )
 from .unicycle import ControllerParams, UnicycleState, _adaptive_control
 
-__all__ = [
-    "METHODS",
-    "EpisodeResult",
-    "NonConvergenceError",
-    "prediction_set",
-    "governor_field",
-    "run_episode",
-    "read_trajectory_csv",
-    "CSV_COLUMNS",
-]
-
 METHODS = ("circle", "triangle", "forward-sim")
 
 CSV_COLUMNS = ("t", "s", "x", "y", "theta", "v", "omega", "delta_F",

@@ -18,6 +18,9 @@ coefficients in one tuple, which the integrator hot loops call directly:
   the robot one headway distance short of the goal.  It is kept as a
   baseline for the steady-state-offset comparison.
 
+``_adaptive_control_many`` is the adaptive law's array twin, one column a
+run, for ``ode.simulate_many``'s lockstep runs.
+
 The adaptive controller stops (zero input) inside a small goal ball to
 resolve the indeterminacy of the bearing at the goal point itself.  The
 fixed controller has no such ball: its equilibrium lies one headway
@@ -32,14 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geom import Vec2
+import numpy as np
 
-__all__ = [
-    "UnicycleState",
-    "ControllerParams",
-    "wrap_angle",
-    "headway_point",
-]
+from .geom import Vec2
 
 _TAU = 2.0 * math.pi
 
@@ -115,6 +113,37 @@ def _adaptive_control(px: float, py: float, theta: float, gx: float, gy: float,
     v = gain * r * (align - eps) / (1.0 - eps * align)
     w = (gain / eps) * across
     return v * c, v * s, w, v
+
+
+def _hypots(dx, dy) -> np.ndarray:
+    """``math.hypot`` of each pair, which ``np.hypot`` can miss by a last bit."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+
+
+def _adaptive_control_many(state, goal, coeffs, r=None) -> np.ndarray:
+    """``_adaptive_control`` of each column of ``state`` (rows x, y, theta)
+    toward that column of ``goal`` (rows gx, gy), in its order of operations:
+    the rows of the state derivative.  ``r``, when given, is ``_hypots`` of
+    the goal offsets."""
+    eps, gain, tol = coeffs
+    offsets = goal - state[:2]
+    if r is None:
+        r = _hypots(*offsets)
+    stop = r <= tol
+    frozen = stop.any()
+    if frozen:  # 1 keeps r = 0 from dividing; their inputs are zeroed below
+        r = np.where(stop, 1.0, r)
+    ux, uy = offsets / r
+    c = np.cos(state[2])
+    s = np.sin(state[2])
+    align = c * ux + s * uy
+    across = -s * ux + c * uy
+    v = gain * r * (align - eps) / (1.0 - eps * align)
+    w = gain / eps * across
+    if frozen:  # zero input, with the signs of zero that v cos, v sin give
+        v = np.where(stop, 0.0, v)
+        w = np.where(stop, 0.0, w)
+    return np.array([v * c, v * s, w])
 
 
 def _fixed_control(px: float, py: float, theta: float, gx: float, gy: float,

@@ -2,11 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from headway_sim.geom import Vec2
-from headway_sim.ode import SimConfig, require_stable_step, rollout, simulate_to_goal
+from headway_sim.ode import (
+    SimConfig,
+    require_stable_step,
+    rollout,
+    simulate_many,
+    simulate_to_goal,
+)
 from headway_sim.properties import check_rk4_order
-from headway_sim.unicycle import ControllerParams, UnicycleState, wrap_angle
+from headway_sim.unicycle import (
+    ControllerParams,
+    UnicycleState,
+    _adaptive_control,
+    _adaptive_control_many,
+    wrap_angle,
+)
 
 
 class TestSimConfig:
@@ -160,3 +174,94 @@ class TestSimulateToGoal:
     def test_fourth_order_convergence(self):
         result = check_rk4_order()
         assert result.passed, result.detail
+
+
+def same_run(a, b):
+    """Equal to the bit: ``np.array_equal`` would pass a -0.0 for a 0.0."""
+    return (a.t.tobytes() == b.t.tobytes() and a.states.tobytes() == b.states.tobytes()
+            and a.converged == b.converged)
+
+
+def assert_batch_matches(runs, step, goal_tol=None, max_times=None):
+    """``simulate_many`` of ``runs``, ``(state, goal, params)`` each, yields
+    every scalar run's trajectory once, under its index."""
+    states, goals, params = ([run[k] for run in runs] for k in range(3))
+    stopped = list(simulate_many(states, goals, params, step, goal_tol, max_times))
+    assert sorted(i for i, _ in stopped) == list(range(len(runs)))
+    batch = [traj for _, traj in sorted(stopped, key=lambda pair: pair[0])]
+    horizons = max_times if max_times is not None else [None] * len(runs)
+    scalar = [simulate_to_goal(*run, step, goal_tol, horizon)
+              for run, horizon in zip(runs, horizons)]
+    assert all(same_run(a, b) for a, b in zip(batch, scalar))
+    return batch
+
+
+def start(x, y, th, eps=0.5, freeze=1e-4):
+    return (UnicycleState(Vec2(x, y), th), Vec2(0.0, 0.0),
+            ControllerParams(headway_coeff=eps, goal_tolerance=freeze))
+
+
+coord = st.floats(-3.0, 3.0)
+runs = st.lists(st.tuples(coord, coord, st.floats(-math.pi, math.pi), st.floats(0.1, 0.9),
+                          st.sampled_from([0.0, 1e-4, 0.3])).map(lambda r: start(*r)),
+                max_size=5)
+
+
+class TestSimulateMany:
+    """Lockstep runs yield the scalar runs' trajectories byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=runs, step=st.sampled_from([0.02, 0.05, 0.3]),
+           goal_tol=st.none() | st.sampled_from([1e-3, 0.25]),
+           horizons=st.none() | st.lists(st.floats(0.01, 9.0), min_size=5, max_size=5))
+    @example(runs=[start(0.0, 0.0, 1.0), start(2.0, -1.0, 3.0)], step=0.05, goal_tol=None,
+             horizons=None)
+    def test_matches_scalar_runs(self, runs, step, goal_tol, horizons):
+        max_times = None if horizons is None else horizons[:len(runs)]
+        assert_batch_matches(runs, step, goal_tol, max_times)
+
+    def test_no_runs_and_one_run(self):
+        assert list(simulate_many([], [], [], 0.01)) == []
+        assert_batch_matches([start(1.5, -0.5, 0.3)], 0.01)
+
+    def test_start_inside_the_stop_ball(self):
+        inside, outside = start(0.0, 0.05, -2.0), start(-2.0, 0.7, 2.0)
+        batch = assert_batch_matches([inside, outside], 0.01, goal_tol=0.1)
+        assert len(batch[0].t) == 1 and batch[0].converged
+        assert len(batch[1].t) > 1
+
+    def test_horizons_end_on_shortened_steps(self):
+        runs = [start(3.0, 0.0, 0.0), start(-2.0, 0.7, 2.0, eps=0.8)]
+        batch = assert_batch_matches(runs, 0.3, max_times=[1.0, 0.95])
+        assert [traj.t[-1] for traj in batch] == pytest.approx([1.0, 0.95], abs=1e-12)
+        assert not any(traj.converged for traj in batch)
+
+    def test_runs_past_one_block_beside_one_step_runs(self):
+        # the long run spans several 128-step blocks; the others stop after
+        # their first step, at a horizon or at the stop ball
+        runs = [start(-2.0, 0.7, 2.0, eps=0.3), start(1.0, 1.0, 0.5), start(0.1005, 0.0, math.pi)]
+        batch = assert_batch_matches(runs, 0.01, goal_tol=0.1, max_times=[20.0, 0.01, 5.0])
+        assert len(batch[0].t) > 2 * 128
+        assert [len(traj.t) for traj in batch[1:]] == [2, 2]
+
+    def test_refuses_a_step_that_cannot_advance_a_horizon(self):
+        runs = [start(1.0, 0.0, 0.0), start(2.0, 0.0, 0.0)]
+        with pytest.raises(ValueError, match=r"^step 1e-05 s cannot advance the clock at "
+                           r"the 1e\+12 s horizon"):
+            next(simulate_many(*zip(*runs), 1e-5, max_times=[1.0, 1e12]))
+
+
+class TestAdaptiveControlMany:
+    def test_matches_the_scalar_law(self):
+        rng = np.random.default_rng(7)
+        n = 400
+        state, goal = rng.uniform(-4.0, 4.0, (3, n)), rng.uniform(-2.0, 2.0, (2, n))
+        # every fourth robot on its goal, and every fourth inside its freeze ball
+        state[:2, ::4] = goal[:, ::4]
+        tol = np.where(np.arange(n) % 4 == 1, 5.0, 1e-4)
+        eps, gain = rng.uniform(0.1, 0.9, n), rng.uniform(0.5, 2.0, n)
+        many = _adaptive_control_many(state, goal, (eps, gain, tol))
+        scalar = np.array([_adaptive_control(*row[:5], tuple(row[5:]))[:3] for row in
+                           np.vstack([state, goal, eps, gain, tol]).T.tolist()]).T
+        assert many.tobytes() == scalar.tobytes()
+        assert np.signbit(many[:2, ::4]).any()  # the frozen rates keep their zero signs

@@ -504,23 +504,65 @@ class TestBandedContainmentSearch:
         assert _containment_violations(cases) == _brute_force_violations(cases)
 
     def test_reversed_samples_take_the_fallback(self, cases, monkeypatch):
-        def reversed_hull(*args):
-            hull = forward_sim_prediction(*args)
-            return PredictionSet(hull.points[::-1].copy(), hull.padding, hull.converged)
+        real, search = properties._forward_sim_hulls, properties.min_distance_to_segments
+        reversed_hulls, full_rows = [], []
+
+        def reversed_hull(some):
+            for i, hull in real(some):
+                reversed_hulls.append(PredictionSet(hull.points[::-1].copy(), hull.padding,
+                                                    hull.converged))
+                yield i, reversed_hulls[-1]
+
+        def recorded_search(pts, a, b):
+            full_rows.extend(len(pts) for hull in reversed_hulls if a is hull.points)
+            return search(pts, a, b)
 
         some = cases[:5]
         # reversed, the band holds samples far from its points
         hull = _hull(some[0])
         banded = _banded_distances(some[0].traj.positions, hull.points[::-1])
         assert (banded > hull.padding).any()
-        monkeypatch.setattr(properties, "forward_sim_prediction", reversed_hull)
+        monkeypatch.setattr(properties, "_forward_sim_hulls", reversed_hull)
+        monkeypatch.setattr(properties, "min_distance_to_segments", recorded_search)
         assert _containment_violations(some) == _brute_force_violations(some)
+        assert len(reversed_hulls) == len(some)
+        assert sum(full_rows) > 0  # points measured against a whole reversed hull
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_held_out_seeds_match_brute_force(self, seed):
         cases = sample_trajectory_cases(seed, 5)
         assert _containment_violations(cases) == _brute_force_violations(cases)
+
+
+def _scalar_runs(states, goals, params, step, goal_tol=None, max_times=None):
+    horizons = max_times if max_times is not None else [None] * len(states)
+    return enumerate(simulate_to_goal(*run, step, goal_tol, horizon)
+                     for *run, horizon in zip(states, goals, params, horizons))
+
+
+class TestBatchedRuns:
+    """The suite's lockstep runs are the scalar runs, byte for byte."""
+
+    def test_cases_and_hulls_match_the_scalar_runs(self, cases):
+        hulls = dict(properties._forward_sim_hulls(cases))
+        assert sorted(hulls) == list(range(len(cases)))
+        for i, case in enumerate(cases):
+            traj = simulate_to_goal(case.state, case.goal, case.params, case.step)
+            assert traj.t.tobytes() == case.traj.t.tobytes()
+            assert traj.states.tobytes() == case.traj.states.tobytes()
+            assert traj.converged == case.traj.converged
+            scalar, hull = _hull(case), hulls[i]
+            assert scalar.points.tobytes() == hull.points.tobytes()
+            assert (scalar.padding, scalar.converged) == (hull.padding, hull.converged)
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_run_all_reports_match_the_scalar_path(self, seed, monkeypatch):
+        batched = [r.line() for r in properties.run_all(seed)]
+        monkeypatch.setattr(properties, "simulate_many", _scalar_runs)
+        monkeypatch.setattr(properties, "_forward_sim_hulls",
+                            lambda cases: enumerate(_hull(case) for case in cases))
+        assert batched == [r.line() for r in properties.run_all(seed)]
 
 
 class TestSeriesMatchesBuilders:
