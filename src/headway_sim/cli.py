@@ -241,6 +241,8 @@ def cmd_check(args) -> int:
     # aligned-forward-motion needs one of them
     if args.trajectories < 2:
         raise ValueError(f"--trajectories must be at least 2, got {args.trajectories}")
+    if args.seed < 0:  # numpy's own refusal does not name the option
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     results = run_all(args.seed, trajectories=args.trajectories, samples=args.samples)
     for res in results:
         print(res.line())

@@ -26,13 +26,27 @@ depths below zero and reads three public kernels: the full
 ``segments_meet``, ``margin_points`` and ``min_distance_to_segments``.
 
 A ``ClearanceChain`` carries one episode's queries, whose consecutive sets
-lie millimetres apart, and shortens them with every output unchanged.  Let
-the new set B have as many points as the last queried set A, the same
-fill, and every point within m of A's point of the same index; then every
-point of B's closed set lies within m of A's point of the same barycentric
-weights.  ``tau`` (``_rounding_bound``) lies orders of magnitude above the
-rounding of any computed distance.
+lie millimetres apart, and shortens them with every output unchanged; it
+also tells a later RK4 stage when it needs no query at all.  Let the new
+set B have as many points as the last queried set A, the same fill, and
+every point within m of A's point of the same index; then every point of
+B's closed set lies within m of A's point of the same barycentric weights
+(a disk's center, a forward-sim sample).  The chain measures m once per
+set, and B's query reuses the m its pull test measured.  ``tau``
+(``_rounding_bound``) lies orders of magnitude above the rounding of any
+computed distance.  A's clearance is exact: every query the chain runs
+equals the full query bit for bit.
 
+* Pull.  With h = m plus the difference of the paddings, clearance, a
+  distance to the free-space complement, falls by at most h from A to B.
+  So when ``gain * (clearance_A - 2h - tau) > endpoint``, B's clearance
+  rate is above the endpoint pull, and the governor's ``min`` of the two
+  would return the pull: ``pull_binds`` says so, and a later RK4 stage of
+  ``simulation.governor_field`` returns the pull with no query.  The test
+  takes twice the bound h as a margin, and needs ``tau``: without it, one
+  stage of the shipped open/triangle run computed a clearance 2.2e-16 m
+  below ``clearance_A - h``.  A is always of the current step, since every
+  step's first stage queries.
 * Side.  When clearance_A > 0 and ``m + tau < clearance_A + robot_radius +
   padding_A``, every point of A's set lies farther than ``m + tau`` from
   the boundary, so the segment joining it to its partner in B cannot reach
@@ -115,7 +129,7 @@ class Environment:
                  robot_radius: float):
         obstacles = tuple(obstacles)
         if not (robot_radius > 0.0 and math.isfinite(robot_radius)):
-            raise ValueError(f"robot_radius must be positive, got {robot_radius}")
+            raise ValueError(f"robot_radius must be positive and finite, got {robot_radius}")
         wxy = workspace.xy
         lo = wxy.min(axis=0) - 1e-9
         hi = wxy.max(axis=0) + 1e-9
@@ -316,10 +330,10 @@ def _clearance(env: Environment, pred: PredictionSet, sides: bool, columns) -> t
 
 
 def _rounding_bound(env: Environment) -> float:
-    """The rounding allowance ``tau`` of the chain's and the RK4 stages'
-    certificates: 1e-9 times the diagonal of the bounding box of the
-    workspace and the origin, which bounds every coordinate a clearance
-    query sees."""
+    """The rounding allowance ``tau`` of the clearance chain's pull, side
+    and column certificates and of the near-edge node margins: 1e-9 times
+    the diagonal of the bounding box of the workspace and the origin, which
+    bounds every coordinate a clearance query sees."""
     return 1e-9 * _origin_box_diagonal(env.workspace.xy)
 
 
@@ -334,13 +348,14 @@ def _index_move(b: np.ndarray, a: np.ndarray) -> float:
 
 class ClearanceChain:
     """One episode's run of ``safety_distance`` queries against ``env``,
-    shortened by the module docstring's argument.
+    shortened by the module docstring's argument, and its endpoint-pull
+    certificate (``pull_binds``).
 
     It holds the last queried set's points, fill, padding, clearance and
     least column distance ``best``; the columns the last refresh or full
     query kept, with their edge arrays, its ``limit`` and the displacement
-    ``moved`` since; and ``kind``, how the last query ran: "full",
-    "refresh" or "culled".
+    ``moved`` since; ``kind``, how the last query ran: "full", "refresh" or
+    "culled"; and the last set m was measured for, with m.
     """
 
     __slots__ = ("env", "tau", "points", "filled", "padding", "clearance", "best",
@@ -356,23 +371,34 @@ class ClearanceChain:
         self.kind: Optional[str] = None
         self._known: Optional[tuple] = None
 
-    def move(self, pred: PredictionSet, points: np.ndarray) -> Optional[float]:
-        """m from ``points`` to ``pred``'s points of the same index, or None
-        when their counts differ.  When ``points`` are the last queried
-        set's, the query of ``pred`` that follows reuses m."""
-        if len(pred.points) != len(points):
+    def pull_binds(self, pred: PredictionSet, endpoint: float, gain: float) -> bool:
+        """Whether the last queried set certifies that at ``pred`` the
+        endpoint pull binds (the module docstring's Pull): ``gain *
+        (clearance - 2h - tau) > endpoint``.  It does not when no set was
+        queried or the point counts or fills differ."""
+        m = self._move(pred)
+        if m is None:
+            return False
+        h = m + abs(pred.padding - self.padding)
+        return gain * (self.clearance - 2.0 * h - self.tau) > endpoint
+
+    def _move(self, pred: PredictionSet) -> Optional[float]:
+        """m from the last queried set to ``pred``, measured once per set;
+        None when no set was queried or the point counts or fills differ."""
+        known, last = self._known, self.points
+        if known is not None and known[0] is pred:
+            return known[1]
+        if last is None or len(pred.points) != len(last) or pred.filled != self.filled:
             return None
-        m = _index_move(pred.points, points)
-        self._known = (pred, m) if points is self.points else None
+        m = _index_move(pred.points, last)
+        self._known = (pred, m)
         return m
 
     def _plan(self, pred: PredictionSet) -> str:
-        last, known = self.points, self._known
-        if not self.clearance > 0.0 or len(pred.points) != len(last) \
-                or pred.filled != self.filled:
+        if not self.clearance > 0.0:
             return "full"
-        m = known[1] if known is not None and known[0] is pred else _index_move(pred.points, last)
-        if not m + self.tau < self.clearance + self.env.robot_radius + self.padding:
+        m = self._move(pred)
+        if m is None or not m + self.tau < self.clearance + self.env.robot_radius + self.padding:
             return "full"
         if self.limit - (self.moved + m) >= self.best + m + self.tau:
             self.moved += m

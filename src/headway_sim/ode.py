@@ -68,11 +68,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if not (self.max_time > 0.0 and math.isfinite(self.max_time)):
-            raise ValueError(f"max_time must be positive, got {self.max_time}")
+            raise ValueError(f"max_time must be positive and finite, got {self.max_time}")
         if not (self.goal_tolerance >= 0.0 and math.isfinite(self.goal_tolerance)):
-            raise ValueError(f"goal_tolerance must be >= 0, got {self.goal_tolerance}")
+            raise ValueError(f"goal_tolerance must be finite and >= 0, got {self.goal_tolerance}")
         for name in ("clearance_gain", "endpoint_gain", "prediction_step"):
             value = getattr(self, name)
             # an infinite gain times a zero clearance or distance is a NaN rate

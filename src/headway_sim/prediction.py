@@ -58,7 +58,7 @@ class PredictionSet:
         if len(pts) < 1:
             raise ValueError("prediction set needs at least one point")
         if not (padding >= 0.0 and math.isfinite(padding)):
-            raise ValueError(f"prediction set padding must be >= 0, got {padding}")
+            raise ValueError(f"prediction set padding must be finite and >= 0, got {padding}")
         self.points, self.padding, self.converged = pts, padding, converged
 
 
@@ -74,7 +74,7 @@ class Disk(PredictionSet):
 
     def __init__(self, center: Vec2, radius: float):
         if not (radius >= 0.0 and math.isfinite(radius)):
-            raise ValueError(f"disk radius must be >= 0, got {radius}")
+            raise ValueError(f"disk radius must be finite and >= 0, got {radius}")
         super().__init__([[center.x, center.y]], radius)
 
     @property

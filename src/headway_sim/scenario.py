@@ -218,8 +218,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             obstacle_pts[i] = pts
 
     radius = _get_number(data, "robot_radius", "", violations)
-    if radius is not None and radius <= 0.0:
-        violations.append(f"robot_radius: must be positive, got {radius}")
+    if radius is not None and not (radius > 0.0 and math.isfinite(radius)):
+        violations.append(f"robot_radius: must be positive and finite, got {radius}")
         radius = None
 
     path_pts = _coerce_points(data.get("path"), "path", violations)

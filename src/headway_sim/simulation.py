@@ -11,31 +11,13 @@ current path point.
 ``run_episode`` integrates the loop with RK4.  The first stage of each step
 is a full ``governor_field`` evaluation: its clearance and goal radius are
 logged with the node.  The three later stages feed only their rates to the
-integrator, so they compute no goal radius, and the first stage's set may
-certify that they need no clearance query.  The later stage's set has the
-same number of points as the first stage's; m is the largest distance
-between points of the same index (``ClearanceChain.move``, which the
-chain's next query reuses), and each set lies within m of the other (a
-disk's center, a filled triangle's point of the same barycentric
-weights).  ``tau`` (``environment._rounding_bound``) lies orders of
-magnitude above the rounding of any computed clearance.
-
-* The endpoint pull binds.  With h = m plus the difference of the
-  paddings, clearance, a distance to the free-space complement, moves by at
-  most h.  So when ``clearance_gain * (clearance_1 - 2h - tau) >
-  endpoint_gain * (length - s)``, the clearance rate is above the endpoint
-  pull and ``min`` would return the endpoint pull: the stage returns it
-  directly and makes no query.  The test takes twice the bound h as a
-  margin, and needs ``tau``: without it, one stage of the shipped
-  open/triangle run computed a clearance 2.2e-16 m below ``clearance_1 -
-  h``.
-* Every query that does run, at any stage of any step, goes through one
-  ``environment.ClearanceChain`` per episode, which certifies the set's
-  free side from the last queried set and reads only the boundary columns
-  that can bind; the argument is in the ``environment`` docstring.
-
-Either way every output is unchanged.  Forward-sim sets whose inner runs
-differ in length get no certificate.
+integrator, so they compute no goal radius, and they make no clearance
+query when the episode's ``environment.ClearanceChain`` certifies from the
+last queried set that the endpoint pull binds (``pull_binds``).  Every
+query that runs, at any stage of any step, goes through that chain, which
+certifies the set's free side and reads only the boundary columns that
+can bind.  The three arguments are in the ``environment`` docstring;
+either way every output is unchanged.
 """
 
 from __future__ import annotations
@@ -104,24 +86,9 @@ def prediction_set(method: str, state: UnicycleState, goal: Vec2,
     raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
 
 
-def _pull_binds(pred: PredictionSet, first: tuple, endpoint: float, gain: float,
-                chain: ClearanceChain) -> bool:
-    """Whether the step's first stage ``first``, its ``(points, padding,
-    clearance)``, certifies at ``pred`` that the endpoint term binds (see
-    the module docstring): ``gain * (clearance - 2h - tau) > endpoint`` with
-    h = m + |padding - padding_1|, m from ``chain.move`` and ``tau`` the
-    chain's.  It does not when the point counts differ."""
-    points, padding, clearance = first
-    m = chain.move(pred, points)
-    if m is None:
-        return False
-    h = m + abs(pred.padding - padding)
-    return gain * (clearance - 2.0 * h - chain.tau) > endpoint
-
-
 def governor_field(env: Environment, path: ReferencePath, params: ControllerParams,
                    method: str, config: SimConfig, s: float, x: float, y: float,
-                   th: float, first: Optional[tuple] = None,
+                   th: float, later: bool = False,
                    chain: Optional[ClearanceChain] = None) -> tuple:
     """Time derivative of the coupled path-parameter / robot-pose state.
 
@@ -132,24 +99,22 @@ def governor_field(env: Environment, path: ReferencePath, params: ControllerPara
     endpoint pull, so it never overshoots the path end and freezes whenever
     the predicted motion touches the free-space boundary.
 
-    ``first``, the ``(points, padding, clearance)`` of the step's first
-    stage, marks a later RK4 stage, whose caller reads only the rates and
+    ``later`` marks a later RK4 stage, whose caller reads only the rates and
     the set, and needs the episode's ``chain``: ``radius`` is then None, and
-    so is ``clearance`` when ``_pull_binds`` certifies that the endpoint
-    pull binds (see the module docstring); the pull is then the path rate,
-    bit for bit what the full evaluation's ``min`` returns.  A query that
-    runs passes ``chain`` on to ``safety_distance``.
+    so is ``clearance`` when ``chain.pull_binds`` certifies that the
+    endpoint pull binds; the pull is then the path rate, bit for bit what
+    the full evaluation's ``min`` returns.  A query that runs passes
+    ``chain`` on to ``safety_distance``.
     """
     goal = path.point_at(s)
     pred = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, params, config)
     endpoint = config.endpoint_gain * (path.length - s)
-    if first is not None and _pull_binds(pred, first, endpoint, config.clearance_gain,
-                                         chain):
+    if later and chain.pull_binds(pred, endpoint, config.clearance_gain):
         clearance, s_rate = None, endpoint
     else:
         clearance = safety_distance(env, pred, chain)
         s_rate = min(config.clearance_gain * clearance, endpoint)
-    radius = prediction_goal_radius(pred, goal) if first is None else None
+    radius = None if later else prediction_goal_radius(pred, goal)
     x_rate, y_rate, w, v = _adaptive_control(
         x, y, th, goal.x, goal.y, (params.headway_coeff, params.ref_gain, params.goal_tolerance))
     return (s_rate, x_rate, y_rate, w, v, clearance, radius, pred)
@@ -278,7 +243,7 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     stop ball inside the freeze ball (``require_stable_step``) are refused.
 
     Each step's first stage is a full ``governor_field`` evaluation, logged
-    with the node; stages 2-4 pass it ``first`` and get the rates only, and
+    with the node; stages 2-4 pass it ``later`` and get the rates only, and
     every stage's query goes through the episode's ``ClearanceChain`` (see
     the module docstring).  Every stage builds its prediction set and checks
     that a forward simulation converged, and every stage counts in
@@ -300,10 +265,10 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     eval_time = 0.0
     eval_count = 0
 
-    def field(s: float, x: float, y: float, th: float, first: Optional[tuple] = None) -> tuple:
+    def field(s: float, x: float, y: float, th: float, later: bool = False) -> tuple:
         nonlocal eval_time, eval_count
         t0 = time.perf_counter()
-        k = governor_field(env, path, params, method, config, s, x, y, th, first, chain)
+        k = governor_field(env, path, params, method, config, s, x, y, th, later, chain)
         if not k[7].converged:
             goal = path.point_at(s)
             exc = NonConvergenceError(
@@ -369,12 +334,9 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
         dt = min(config.step, config.max_time - t)  # land exactly on the horizon
         half = 0.5 * dt
         sixth = dt / 6.0
-        first = (k1[7].points, k1[7].padding, k1[5])
-        k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3],
-                   first)
-        k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3],
-                   first)
-        k4 = field(s + dt * k3[0], x + dt * k3[1], y + dt * k3[2], th + dt * k3[3], first)
+        k2 = field(s + half * k1[0], x + half * k1[1], y + half * k1[2], th + half * k1[3], True)
+        k3 = field(s + half * k2[0], x + half * k2[1], y + half * k2[2], th + half * k2[3], True)
+        k4 = field(s + dt * k3[0], x + dt * k3[1], y + dt * k3[2], th + dt * k3[3], True)
         s += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         x += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         y += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])

@@ -81,9 +81,9 @@ class ControllerParams:
             raise ValueError(
                 f"headway_coeff must be strictly between 0 and 1, got {self.headway_coeff}")
         if not (self.ref_gain > 0.0 and math.isfinite(self.ref_gain)):
-            raise ValueError(f"ref_gain must be positive, got {self.ref_gain}")
+            raise ValueError(f"ref_gain must be positive and finite, got {self.ref_gain}")
         if not (self.goal_tolerance >= 0.0 and math.isfinite(self.goal_tolerance)):
-            raise ValueError(f"goal_tolerance must be >= 0, got {self.goal_tolerance}")
+            raise ValueError(f"goal_tolerance must be finite and >= 0, got {self.goal_tolerance}")
 
 
 def headway_point(state: UnicycleState, goal: Vec2, params: ControllerParams) -> Vec2:

@@ -109,6 +109,26 @@ class TestValidate:
             "scenario validation failed:",
             f"  - integrator/governor: {gain} must be positive and finite, got inf"]
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("section, key, message", [
+        (None, "robot_radius", "robot_radius: must be positive and finite"),
+        ("integrator", "step", "integrator/governor: step must be positive and finite"),
+        ("integrator", "max_time", "integrator/governor: max_time must be positive and finite"),
+        ("integrator", "goal_tolerance",
+         "integrator/governor: goal_tolerance must be finite and >= 0"),
+        ("controller", "ref_gain", "controller: ref_gain must be positive and finite"),
+        ("controller", "goal_tolerance", "controller: goal_tolerance must be finite and >= 0"),
+    ])
+    def test_non_finite_value_refused(self, section, key, message, value, corridor, capsys):
+        # the message says "finite" wherever the check refuses inf and nan;
+        # written directly, as a nan never compares equal across two loads
+        data = yaml.safe_load(corridor.read_text())
+        (data if section is None else data[section])[key] = value
+        corridor.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(corridor)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario validation failed:", f"  - {message}, got {value}"]
+
     def test_misspelled_obstacles_refused(self, tmp_path, capsys):
         # a typo must not drop every obstacle
         scenario = tmp_path / "office.yaml"
@@ -542,6 +562,15 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == (f"error: --trajectories must be at least 2, "
                                 f"got {trajectories}\n")
+
+    def test_negative_seed_refused(self, capsys, monkeypatch):
+        # numpy refused it as "expected non-negative integer", naming no option
+        monkeypatch.setattr(cli, "run_all", _must_not_run)
+        code = main(["check", "--seed", "-1"])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be at least 0, got -1\n"
 
     def test_samples_size_every_sampled_suite(self, capsys):
         code = main(["check", "--trajectories", "2", "--samples", "10"])

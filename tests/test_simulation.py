@@ -360,20 +360,19 @@ _nudge = st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2), st.floats(-1e-6, 1e-6))
 
 
 class TestStageCertificate:
-    """Stages 2-4 of a step skip their clearance query when the first
-    stage's set certifies that the endpoint pull binds (module docstring of
-    ``simulation``), and a chained query skips its side tests when the last
-    queried set certifies the free side (module docstring of
-    ``environment``)."""
+    """Stages 2-4 of a step skip their clearance query when the chain's
+    last queried set certifies that the endpoint pull binds, and a chained
+    query skips its side tests when the last queried set certifies the free
+    side (module docstring of ``environment``)."""
 
     @pytest.mark.parametrize("name", ["office", "cluttered"])
     @pytest.mark.parametrize("method", ["circle", "triangle"])
     @settings(max_examples=150, deadline=None)
     @given(at=_unit, offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
            th=st.floats(-math.pi, math.pi), nudge=st.tuples(_nudge, _nudge, _nudge, _nudge),
-           ulp=st.booleans())
+           ulp=st.booleans(), earlier=st.booleans())
     def test_clearance_bound_is_sound(self, certificate_scenes, name, method, at, offset,
-                                      th, nudge, ulp):
+                                      th, nudge, ulp, earlier):
         # nearby states, or states one ulp apart in every coordinate; all
         # nudges 0 gives h = 0
         sc = certificate_scenes[name]
@@ -382,8 +381,10 @@ class TestStageCertificate:
         goal = path.point_at(s)
         x, y = goal.x + offset[0], goal.y + offset[1]
         if ulp:
+            s0, x0, y0, th0 = (math.nextafter(v, -math.inf) for v in (s, x, y, th))
             s2, x2, y2, th2 = (math.nextafter(v, math.inf) for v in (s, x, y, th))
         else:
+            s0, x0, y0, th0 = (v - d for v, d in zip((s, x, y, th), nudge))
             s2, x2, y2, th2 = (v + d for v, d in zip((s, x, y, th), nudge))
         p1 = prediction_set(method, UnicycleState(Vec2(x, y), th), goal, sc.controller,
                             sc.sim)
@@ -392,12 +393,18 @@ class TestStageCertificate:
         clearance, tau = safety_distance(env, p1), _rounding_bound(env)
         bound = clearance - 2.0 * _spread(p1, p2) - tau
         assert bound <= 0.0 or safety_distance(env, p2) >= bound
-        # the run's certificate is this bound: it passes an endpoint pull
-        # just below it and refuses one just above
-        first, chain = (p1.points, p1.padding, clearance), ClearanceChain(env)
+        # the run's certificate is this bound from the chain's last queried
+        # set, p1, also when p1 is a later stage's set after p0's query: it
+        # passes an endpoint pull just below it and refuses one just above
+        chain = ClearanceChain(env)
+        if earlier:
+            p0 = prediction_set(method, UnicycleState(Vec2(x0, y0), th0), path.point_at(s0),
+                                sc.controller, sc.sim)
+            safety_distance(env, p0, chain)
+        assert safety_distance(env, p1, chain) == clearance
         gain = sc.sim.clearance_gain
-        assert simulation._pull_binds(p2, first, gain * bound - 1e-9, gain, chain)
-        assert not simulation._pull_binds(p2, first, gain * bound + 1e-9, gain, chain)
+        assert chain.pull_binds(p2, gain * bound - 1e-9, gain)
+        assert not chain.pull_binds(p2, gain * bound + 1e-9, gain)
 
     @pytest.mark.parametrize("name", ["office", "cluttered"])
     @pytest.mark.parametrize("method", ["circle", "triangle"])
@@ -487,9 +494,8 @@ class TestStageCertificate:
         clearance = safety_distance(env, p1, chain)
         assert clearance == 0.0 == safety_distance(env, p2)
         assert 0.01 + chain.tau < env.robot_radius + p1.padding
+        assert not chain.pull_binds(p2, 0.0, 4.0)
         assert safety_distance(env, p2, chain) == 0.0 and chain.kind == "full"
-        first = (p1.points, p1.padding, clearance)
-        assert not simulation._pull_binds(p2, first, 0.0, 4.0, chain)
         # a chain that took p1's clearance for positive would skip p2's side
         # tests and report a positive clearance
         chain.points, chain.clearance = p1.points, math.ulp(0.0)
@@ -646,17 +652,18 @@ class TestClearanceChain:
         assert seen == {"full", "refresh", "culled", "after zero", "count change",
                         "branch switch"}
 
-    def test_reuses_a_move_only_from_the_last_queried_set(self, walk_scenes):
-        # the endpoint test measures m from the step's first set; the query
-        # that follows reuses it only when that set is the last queried one
-        env = walk_scenes["passage"][0]
-        p1, p2 = Disk(Vec2(1.0, 2.0), 0.0), Disk(Vec2(1.01, 2.0), 0.0)
-        chain = ClearanceChain(env)
-        safety_distance(env, p1, chain)
-        assert chain.move(p2, Disk(Vec2(9.0, 2.0), 0.0).points) > 7.9
-        assert safety_distance(env, p2, chain) > 0.0 and chain.kind != "full"
-        assert chain.move(p1, chain.points) == pytest.approx(0.01)
-        assert safety_distance(env, p1, chain) > 0.0 and chain.kind != "full"
+    @pytest.mark.parametrize("case", ["open/triangle", "office/circle"])
+    def test_measures_each_move_once(self, case, monkeypatch):
+        # one m an evaluation after the first: a later stage's pull test
+        # measures it and the query that follows reuses it
+        scene, method = case.split("/")
+        sc = load_scenario(ROOT / "scenarios" / f"{scene}.yaml")
+        calls = []
+        real = environment._index_move
+        monkeypatch.setattr(environment, "_index_move",
+                            lambda b, a: calls.append(None) or real(b, a))
+        res = run_episode(sc.environment, sc.path, sc.controller, method, sc.sim)
+        assert len(calls) == res.n_governor_evals - 1
 
     def test_refuses_a_chain_of_another_environment(self, walk_scenes):
         env, other = walk_scenes["office"][0], walk_scenes["passage"][0]
