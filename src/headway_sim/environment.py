@@ -50,18 +50,18 @@ equals the full query bit for bit.
 * Side.  When clearance_A > 0 and ``m + tau < clearance_A + robot_radius +
   padding_A``, every point of A's set lies farther than ``m + tau`` from
   the boundary, so the segment joining it to its partner in B cannot reach
-  the boundary: B lies on the free side and holds no boundary point.  Its
-  query skips the parity, the crossings and the probe, which would all
-  pass.  The guard clearance_A > 0 is required: a set on the wrong side
+  the boundary: B lies on the free side and holds no boundary point.  A
+  culled query skips the parity, the crossings and the probe, which would
+  all pass.  The guard clearance_A > 0 is required: a set on the wrong side
   reports 0.0, and the bound alone would then carry the next set inside an
   obstacle to a positive clearance.
 * Columns.  Column e is boundary edge e and, for a filled set, boundary
   vertex e too, edge e's start, so the forward grid and the reverse grid
   share columns.  A column's value, the least distance between the set
-  and it, moves by at most m from A to B.  A refresh is a full-width query
-  without side tests; it keeps the columns whose value is at most ``limit
-  = 2 best + tau``, best being the least value.  Let D be the displacement
-  accumulated since the refresh, B's included.  Every dropped column of B
+  and it, moves by at most m from A to B.  A full query keeps the columns
+  whose value is at most ``limit = 2 best + tau``, best being the least
+  value.  Let D be the displacement accumulated since that query, B's
+  included.  Every dropped column of B
   then lies above ``limit - D``, and A's least column, a kept one, at most
   ``best_A + m`` from B.  While ``limit - D >= best_A + m + tau`` B's least
   column is a kept one, so the kept columns' least squared distance is the
@@ -71,11 +71,13 @@ equals the full query bit for bit.
   dropped column and fires, the least column of all is a kept reverse
   one, below ``robot_radius + padding``: the kept columns' query returns
   0.0 too, from its own gate or from the ``max``.
-* Anything else is a full query, which re-seeds the chain: an episode's
-  first query, one after a clearance of 0.0, and a set whose point count
-  or fill differs, as a forward-sim set does when its inner run differs in
-  length from the last one's (13-30% of the queries of the shipped
-  forward-sim episodes; the rest are culled).
+* A culled query, one whose side and columns are both certified, skips
+  the side tests and reads the kept columns alone.  Anything else is a
+  full query, which re-seeds the chain: an episode's first query, one
+  after a clearance of 0.0, a set whose point count or fill differs, as a
+  forward-sim set does when its inner run differs in length from the last
+  one's (13-30% of the queries of the shipped forward-sim episodes), and a
+  set whose side or columns are not certified.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from .geom import (
     min_distance_to_segments,
     segments_meet,
 )
-from .prediction import _LOOP_POINTS, PredictionSet
+from .prediction import PredictionSet
 
 
 class ClearanceError(Exception):
@@ -282,23 +284,24 @@ def safety_distance(env: Environment, pred: PredictionSet,
     collinear triangle holds a boundary vertex only on an edge, where the
     reverse distance is at rounding level.
 
-    With a ``chain`` of ``env``, the query may skip the side tests or read
+    With a ``chain`` of ``env``, the query may skip the side tests and read
     only the boundary columns that can bind (the module docstring's
     argument); the value is the full query's, bit for bit.
     """
     if chain is None:
-        return _clearance(env, pred, True, env)[0]
+        return _clearance(env, pred, env)[0]
     if chain.env is not env:
         raise ValueError("the clearance chain belongs to another environment")
     return chain._query(pred)
 
 
-def _clearance(env: Environment, pred: PredictionSet, sides: bool, columns) -> tuple:
+def _clearance(env: Environment, pred: PredictionSet, columns) -> tuple:
     """``safety_distance`` on the boundary ``columns`` (see ``_grid``), with
-    the side tests when ``sides``.  Returns the clearance and, when it is
-    positive, the least squared column distance and the grids (forward,
-    and reverse for a filled set)."""
+    the side tests when ``columns`` is ``env``, the full width.  Returns the
+    clearance and, when it is positive, the least squared column distance
+    and the grids (forward, and reverse for a filled set)."""
     pts = pred.points
+    sides = columns is env
     w, sq = _grid(columns, pts)
     least = sq.min()
     margin = math.sqrt(least) - env.robot_radius - pred.padding
@@ -337,6 +340,11 @@ def _rounding_bound(env: Environment) -> float:
     return 1e-9 * _origin_box_diagonal(env.workspace.xy)
 
 
+# sets of more points than this take numpy's vector forms, whose fixed
+# cost of about 3 us a call pays from about ten points
+_LOOP_POINTS = 8
+
+
 def _index_move(b: np.ndarray, a: np.ndarray) -> float:
     """m: the largest distance between points of the same index of two
     point arrays of one length."""
@@ -352,10 +360,10 @@ class ClearanceChain:
     certificate (``pull_binds``).
 
     It holds the last queried set's points, fill, padding, clearance and
-    least column distance ``best``; the columns the last refresh or full
-    query kept, with their edge arrays, its ``limit`` and the displacement
-    ``moved`` since; ``kind``, how the last query ran: "full", "refresh" or
-    "culled"; and the last set m was measured for, with m.
+    least column distance ``best``; the columns the last full query kept,
+    with their edge arrays, its ``limit`` and the displacement ``moved``
+    since; ``kind``, how the last query ran: "full" or "culled"; and the
+    last set m was measured for, with m.
     """
 
     __slots__ = ("env", "tau", "points", "filled", "padding", "clearance", "best",
@@ -395,26 +403,23 @@ class ClearanceChain:
         return m
 
     def _plan(self, pred: PredictionSet) -> str:
-        if not self.clearance > 0.0:
-            return "full"
-        m = self._move(pred)
-        if m is None or not m + self.tau < self.clearance + self.env.robot_radius + self.padding:
-            return "full"
-        if self.limit - (self.moved + m) >= self.best + m + self.tau:
+        m = self._move(pred) if self.clearance > 0.0 else None
+        if (m is not None
+                and m + self.tau < self.clearance + self.env.robot_radius + self.padding
+                and self.limit - (self.moved + m) >= self.best + m + self.tau):
             self.moved += m
             return "culled"
-        return "refresh"
+        return "full"
 
     def _query(self, pred: PredictionSet) -> float:
         kind = self._plan(pred)
         env = self.env
-        clearance, reach, grids = _clearance(env, pred, kind == "full",
-                                             self if kind == "culled" else env)
+        clearance, reach, grids = _clearance(env, pred, self if kind == "culled" else env)
         self.kind, self.points, self.filled, self._known = kind, pred.points, pred.filled, None
         self.padding, self.clearance = pred.padding, clearance
         if clearance > 0.0:
             self.best = math.sqrt(reach)
-            if kind != "culled":
+            if kind == "full":
                 self.limit = 2.0 * self.best + self.tau
                 column = np.vstack(grids).min(axis=0)
                 keep = np.flatnonzero(np.sqrt(column) <= self.limit)

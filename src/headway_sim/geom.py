@@ -296,9 +296,7 @@ def _crossings(start: slice | np.ndarray, end: slice | np.ndarray, next_edge: np
     negative: in exact arithmetic the zeros add crossings only where the two
     touch and miss touches, which ``segments_meet``'s box tests find."""
     pos_pts, pos_edge = o_pts > 0, o_edge > 0
-    # take is cheaper than fancy indexing on these small grids
-    ends = pos_pts[end] if isinstance(end, slice) else pos_pts.take(end, axis=0)
-    return (pos_pts[start] != ends) & (pos_edge != pos_edge.take(next_edge, axis=1))
+    return (pos_pts[start] != pos_pts[end]) & (pos_edge != pos_edge.take(next_edge, axis=1))
 
 
 _NEXT_VERTEX = np.array([1, 2, 0], dtype=np.intp)

@@ -211,35 +211,13 @@ def prediction_distance(pred: PredictionSet, z: Vec2) -> float:
     return max(0.0, d - pred.padding)
 
 
-# sets of more points than this take numpy's vector forms, whose fixed
-# cost of about 3 us a call pays from about ten points
-_LOOP_POINTS = 8
-# far above the smallest normal square (2.2e-308): a largest square at least
-# this large keeps its relative precision, as does every square near it
-_NORMAL_SQUARE = 1e-290
-
-
 def prediction_goal_radius(pred: PredictionSet, goal: Vec2) -> float:
     """Largest distance from the goal to any point of the set, plus its
     padding.
 
     This is the quantity the governor relies on decaying to zero along the
-    closed-loop motion.  Each distance is ``math.hypot`` of the point's
-    offsets.  A set of more than ``_LOOP_POINTS`` points (a forward-sim
-    set) takes it only on the points whose squared distance ``dx*dx +
-    dy*dy``, from the same offsets, is within a relative 1e-12 of the
-    largest: the squares are within a few ulps of the exact ones and
-    ``hypot`` within one ulp of the exact root, so an excluded point's
-    ``hypot`` lies below the included largest one's, and the result is the
-    whole loop's, bit for bit.  While the squares stay normal numbers, that
-    is: a set whose largest square lies below ``_NORMAL_SQUARE`` keeps every
-    point.
+    closed-loop motion; each distance is ``math.hypot`` of the point's
+    offsets.
     """
     gx, gy = goal.x, goal.y
-    pts = pred.points
-    if len(pts) > _LOOP_POINTS:
-        sq = np.square(pts - (gx, gy)).sum(axis=1)
-        top = sq.max()
-        if top >= _NORMAL_SQUARE:
-            pts = pts[sq >= top * (1.0 - 1e-12)]
-    return max([math.hypot(x - gx, y - gy) for x, y in pts.tolist()]) + pred.padding
+    return max([math.hypot(x - gx, y - gy) for x, y in pred.points.tolist()]) + pred.padding

@@ -107,7 +107,7 @@ def _coerce_points(raw, label: str, violations: list[str]) -> list[Vec2] | None:
             return None
         try:
             pts.append(Vec2(float(item[0]), float(item[1])))
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:  # OverflowError: an integer beyond the floats
             violations.append(f"{label}[{i}]: {exc}")
             return None
     return pts
@@ -147,7 +147,11 @@ def _get_number(section: dict, key: str, prefix: str, violations: list[str],
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         violations.append(f"{prefix}{key}: expected a number, got {value!r}")
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the floats
+        violations.append(f"{prefix}{key}: {exc}")
+        return None
 
 
 def _present(mapping: dict) -> dict:

@@ -14,10 +14,11 @@ logged with the node.  The three later stages feed only their rates to the
 integrator, so they compute no goal radius, and they make no clearance
 query when the episode's ``environment.ClearanceChain`` certifies from the
 last queried set that the endpoint pull binds (``pull_binds``).  Every
-query that runs, at any stage of any step, goes through that chain, which
-certifies the set's free side and reads only the boundary columns that
-can bind.  The three arguments are in the ``environment`` docstring;
-either way every output is unchanged.
+query that runs, at any stage of any step, goes through that chain: a
+culled query, whose free side and binding columns the last queried set
+certifies, skips the side tests and reads only those columns, and any
+other query is a full one.  The three arguments are in the
+``environment`` docstring; either way every output is unchanged.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .prediction import (
     prediction_goal_radius,
     triangular_prediction,
 )
-from .unicycle import ControllerParams, UnicycleState, _adaptive_control
+from .unicycle import ControllerParams, UnicycleState, _adaptive_control, wrap_angle
 
 METHODS = ("circle", "triangle", "forward-sim")
 
@@ -240,7 +241,11 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     path end and the robot is inside the endpoint tolerance ball; hitting
     ``config.max_time`` first marks the result as non-converged.  A path
     without positive clearance, a step beyond RK4's stability limit and a
-    stop ball inside the freeze ball (``require_stable_step``) are refused.
+    stop ball inside the freeze ball (``require_stable_step``) are refused,
+    and an unknown method at the first evaluation (``prediction_set``).  An
+    initial heading outside (-pi, pi] is wrapped first: RK4's increments
+    would round away on a huge raw heading, while the prediction sets see
+    it wrapped (``UnicycleState``).
 
     Each step's first stage is a full ``governor_field`` evaluation, logged
     with the node; stages 2-4 pass it ``later`` and get the rates only, and
@@ -251,11 +256,11 @@ def run_episode(env: Environment, path: ReferencePath, params: ControllerParams,
     ``NonConvergenceError`` carries the result of the nodes logged before it.
     """
     require_path_clearance(path_clearance(env, path), env.robot_radius)
-    if method not in METHODS:
-        raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")
     require_stable_step(params, config)
 
     theta0 = _default_initial_theta(path) if initial_theta is None else initial_theta
+    if not -math.pi < theta0 <= math.pi:
+        theta0 = wrap_angle(theta0)
     start = path.point_at(0.0)
     goal_end = path.point_at(path.length)
     length = path.length

@@ -297,6 +297,23 @@ class TestRun:
             "exponentially and never reaches distance 0")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["robot_radius", "path"])
+    def test_integer_too_large_for_a_float_refused(self, command, key, tmp_path, capsys):
+        # a 401-digit integer ended in an OverflowError traceback
+        scenario = tmp_path / "open.yaml"
+        shutil.copy(SCENARIO_DIR / "open.yaml", scenario)
+        if key == "path":
+            _edit_scenario(scenario, lambda d: d["path"][1].__setitem__(1, 10 ** 400))
+        else:
+            _edit_scenario(scenario, lambda d: d.update(robot_radius=10 ** 400))
+        out = ["--method", "circle", "--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, "--scenario", str(scenario), *out]) == EXIT_SCHEMA
+        label = "path[1]" if key == "path" else key
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario validation failed:", f"  - {label}: int too large to convert to float"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
     def test_out_of_range_scale_refused(self, scale, word, tmp_path, capsys):
         # exited 2 with a NaN clearance at 1e160 and 1 with "repeated

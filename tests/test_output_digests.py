@@ -5,7 +5,8 @@ listing (``write_outputs(out, fast=True)``) and compares them with
 ``output_digests.txt`` next to this file:
 
 * ``trajectory.csv`` and ``trajectory.svg`` of ``headway-sim run`` on the
-  five shipped scenes with ``circle`` and ``triangle``;
+  five shipped scenes with ``circle`` and ``triangle``, and its
+  ``summary.yaml`` without the host-time line ``governor_eval_seconds``;
 * the trajectory columns of the benchmark's cluttered scene, seeds 1-3,
   with both methods;
 * the ``check --seed 2024`` report (the acceptance gate's seed);

@@ -399,7 +399,7 @@ class TestPredictionGoalRadius:
     @example(seed=5, n=60, scale=-3, kind="ring", padded=False)
     @example(seed=2, n=300, scale=-3, kind="ring", padded=False)
     def test_equals_the_hypot_loop(self, seed, n, scale, kind, padded):
-        # sets above the loop's size take hypot only near the largest square;
+        # the goal radius is the hypot loop's value at every size and scale;
         # rings tie the distances to the last bits (which a padding of their
         # size may round away), and from about 1e-154 m down the squares lose
         # precision to underflow

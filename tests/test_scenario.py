@@ -219,6 +219,21 @@ class TestValidation:
         assert [v.split(":")[0] for v in err.value.violations] == [
             "obstacle", "integrator.stepp"]
 
+    @pytest.mark.parametrize("place, label", [
+        (lambda d, v: d.update(robot_radius=v), "robot_radius"),
+        (lambda d, v: d.update(initial_theta=-v), "initial_theta"),
+        (lambda d, v: d["integrator"].update(step=v), "integrator.step"),
+        (lambda d, v: d["path"][1].__setitem__(0, v), "path[1]"),
+        (lambda d, v: d["obstacles"][0][2].__setitem__(1, -v), "obstacles[0][2]"),
+    ], ids=["radius", "heading", "step", "path", "obstacle"])
+    def test_integer_too_large_for_a_float_refused(self, place, label):
+        # ended in OverflowError: int too large to convert to float
+        data = office_data()
+        place(data, 10 ** 400)
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.violations == [f"{label}: int too large to convert to float"]
+
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):
             scenario_from_dict([1, 2, 3])

@@ -30,7 +30,7 @@ from headway_sim.simulation import (
     read_trajectory_csv,
     run_episode,
 )
-from headway_sim.unicycle import ControllerParams, UnicycleState
+from headway_sim.unicycle import ControllerParams, UnicycleState, wrap_angle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -226,6 +226,38 @@ class TestRunEpisode:
         assert result2.theta[0] == pytest.approx(math.pi / 2)
         assert result2.converged and not result2.collision_flag
 
+    @pytest.mark.parametrize("theta, first", [
+        (math.pi, math.pi), (-3.0, -3.0), (-math.pi, -math.pi), (3 * math.pi, -math.pi),
+        (-2.5 - 4 * math.pi, -2.5)])
+    def test_initial_heading_outside_the_range_is_wrapped(self, theta, first, simple_setup,
+                                                          monkeypatch):
+        # the first evaluation sees a heading in (-pi, pi] as given, and
+        # wrap_angle's value of any other one
+        seen = []
+
+        def stop(env, path, params, method, config, s, x, y, th, *rest):
+            seen.append(th)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(simulation, "governor_field", stop)
+        with pytest.raises(RuntimeError, match="stop"):
+            run_episode(*simple_setup[:3], "circle", simple_setup[3], initial_theta=theta)
+        assert seen == [pytest.approx(first, abs=1e-12)]
+        if not -math.pi < theta <= math.pi:
+            assert seen == [wrap_angle(theta)]
+
+    @pytest.mark.parametrize("method", ["circle", "triangle"])
+    @pytest.mark.parametrize("theta", [1.0e300, 1.0e17])
+    def test_huge_initial_heading_converges(self, theta, method):
+        # unwrapped, RK4's heading increments rounded away while the sets
+        # saw the wrapped heading: at 1e300 the triangle run collided
+        # (min_margin -2.13 m), and at 1e17 both methods ran out their
+        # horizon
+        sc = load_scenario(ROOT / "scenarios" / "open.yaml")
+        res = run_episode(sc.environment, sc.path, sc.controller, method, sc.sim, theta)
+        assert res.theta[0] == wrap_angle(theta)
+        assert res.converged and not res.collision_flag and res.min_margin >= 0.6995
+
 
 class TestEpisodeCsv:
     def test_round_trip(self, simple_setup, tmp_path):
@@ -363,7 +395,7 @@ class TestStageCertificate:
     """Stages 2-4 of a step skip their clearance query when the chain's
     last queried set certifies that the endpoint pull binds, and a chained
     query skips its side tests when the last queried set certifies the free
-    side (module docstring of ``environment``)."""
+    side and the binding columns (module docstring of ``environment``)."""
 
     @pytest.mark.parametrize("name", ["office", "cluttered"])
     @pytest.mark.parametrize("method", ["circle", "triangle"])
@@ -437,7 +469,7 @@ class TestStageCertificate:
         clearance = safety_distance(env, p1, chain)
         assert chain.kind == "full" and clearance.hex() == safety_distance(env, p1).hex()
         later = safety_distance(env, p2, chain)
-        free = chain.kind != "full"  # the side tests were skipped
+        free = chain.kind == "culled"  # the side tests were skipped
         assert later.hex() == safety_distance(env, p2).hex()
         # a first set on the wrong side or at the boundary never certifies
         assert clearance > 0.0 or not free
@@ -448,14 +480,16 @@ class TestStageCertificate:
     @given(anywhere=st.tuples(_unit, _unit),
            offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
            th=st.floats(-math.pi, math.pi), heading=st.floats(-math.pi, math.pi),
-           reach=st.one_of(st.floats(0.0, 2.0), st.floats(0.999, 1.0)))
+           reach=st.one_of(st.floats(0.0, 2.0), st.floats(0.999, 1.0),
+                           st.floats(0.4999, 0.5001)))
     def test_free_side_is_sound_at_its_bound(self, certificate_scenes, name, method,
                                              anywhere, offset, th, heading, reach):
         # the later set is the first one moved by ``reach`` times the
         # distance its points keep from the boundary, d = clearance_1 +
         # robot_radius + padding_1: up to d the move is certified and may
         # end a rounding allowance from the boundary, beyond it the set
-        # may cross
+        # may cross.  The first query is a full one, whose least column
+        # lies at d, so the kept columns can bind up to a move of d / 2
         sc = certificate_scenes[name]
         env = sc.environment
         lo, hi = env.workspace.xy.min(axis=0), env.workspace.xy.max(axis=0)
@@ -464,16 +498,27 @@ class TestStageCertificate:
                             Vec2(gx, gy), sc.controller, sc.sim)
         chain = ClearanceChain(env)
         clearance = safety_distance(env, p1, chain)
+        limit, best = chain.limit, chain.best
         move = reach * (clearance + env.robot_radius + p1.padding)
         moved = p1.points + [move * math.cos(heading), move * math.sin(heading)]
         p2 = Tri(moved) if p1.filled else PredictionSet(moved, p1.padding)
         later = safety_distance(env, p2, chain)
-        free = chain.kind != "full"  # the side tests were skipped
+        free = chain.kind == "culled"  # the side tests were skipped
         assert later.hex() == safety_distance(env, p2).hex()
-        # d >= robot_radius, so tau / d < 1e-7: the certificate holds for
-        # every move below d but the last part in a million, and no further
+        # the sides are skipped exactly when both the side bound and the
+        # column bound hold for the measured m
+        m = max(math.hypot(bx - ax, by - ay)
+                for (bx, by), (ax, ay) in zip(moved.tolist(), p1.points.tolist()))
+        side = clearance > 0.0 and m + chain.tau < clearance + env.robot_radius + p1.padding
+        columns = limit - m >= best + m + chain.tau
+        assert free == (side and columns)
+        # d >= robot_radius, so tau / d < 1e-7: the side certificate holds
+        # for every move below d but the last part in a million, and no
+        # further, and the column certificate likewise up to d / 2
         if abs(reach - 1.0) > 1e-6:
-            assert free == (clearance > 0.0 and reach < 1.0)
+            assert side == (clearance > 0.0 and reach < 1.0)
+        if clearance > 0.0 and abs(reach - 0.5) > 1e-6:
+            assert columns == (reach < 0.5)
 
     @pytest.mark.parametrize("method", ["circle", "triangle"])
     def test_wrong_side_first_stage_never_certifies(self, certificate_scenes, method):
@@ -495,11 +540,14 @@ class TestStageCertificate:
         assert clearance == 0.0 == safety_distance(env, p2)
         assert 0.01 + chain.tau < env.robot_radius + p1.padding
         assert not chain.pull_binds(p2, 0.0, 4.0)
+        # with every column kept and a column certificate that always holds,
+        # only the guard keeps p2's query full
+        chain.limit, chain._a, chain._d, chain._safe = math.inf, env._a, env._d, env._safe
         assert safety_distance(env, p2, chain) == 0.0 and chain.kind == "full"
         # a chain that took p1's clearance for positive would skip p2's side
         # tests and report a positive clearance
         chain.points, chain.clearance = p1.points, math.ulp(0.0)
-        assert safety_distance(env, p2, chain) > 0.0 and chain.kind == "refresh"
+        assert safety_distance(env, p2, chain) > 0.0 and chain.kind == "culled"
 
     def test_rounding_bound_scales_with_the_scene(self):
         env = Environment(Polygon([Vec2(3, 4), Vec2(6, 4), Vec2(6, 8), Vec2(3, 8)]), [], 0.1)
@@ -524,8 +572,9 @@ def _chain_walk(env, path, params, config, seed):
     In order: triangles drifting along the path by steps of a fraction of
     its clearance; a sweep of the heading across the alignment boundary; a
     switch to disks (point count 1), the first of them moved by three
-    quarters of the distance it keeps from the boundary, which forces a
-    refresh after the switch's full query; a triangle whose goal is a
+    quarters of the distance it keeps from the boundary, which certifies
+    its side but not its columns, so its query is a full one too; a
+    triangle whose goal is a
     boundary vertex (clearance 0.0); triangles drifting again, the last one
     moved like the disk.
     """
@@ -592,7 +641,7 @@ def walk_scenes(certificate_scenes):
 class TestClearanceChain:
     """Chained queries along seeded walks equal the full query bit for bit,
     and each makes the kind of query the ``environment`` docstring's
-    argument allows: full, refresh or culled."""
+    argument allows: full or culled."""
 
     @staticmethod
     def _run(env, walk):
@@ -615,12 +664,13 @@ class TestClearanceChain:
                 side = m + chain.tau < last[1] + env.robot_radius + last[0].padding
             else:
                 side = False
-            if not side:
-                assert chain.kind == "full"
-            else:  # the kept columns can bind while limit - D >= best + m + tau
+            culled = False
+            if side:  # the kept columns can bind while limit - D >= best + m + tau
                 limit, moved, best = before
                 culled = limit - (moved + m) >= best + m + chain.tau
-                assert chain.kind == ("culled" if culled else "refresh")
+                if not culled:
+                    seen.add("side only")
+            assert chain.kind == ("culled" if culled else "full")
             seen.add(chain.kind)
             if last is not None:
                 if last[1] == 0.0:
@@ -642,14 +692,15 @@ class TestClearanceChain:
 
     @pytest.mark.parametrize("name", _WALK_SCENES)
     def test_walks_reach_every_kind(self, walk_scenes, name):
-        # the first seeds' walks make every kind of query, break the chain
-        # at a boundary vertex, change the point count and cross the
-        # triangle's alignment boundary inside the chain
+        # the first seeds' walks make both kinds of query, certify a side
+        # but not the columns, break the chain at a boundary vertex, change
+        # the point count and cross the triangle's alignment boundary
+        # inside the chain
         env, path, params, config = walk_scenes[name]
         seen = set()
         for seed in range(3):
             seen |= self._run(env, _chain_walk(env, path, params, config, seed))
-        assert seen == {"full", "refresh", "culled", "after zero", "count change",
+        assert seen == {"full", "culled", "side only", "after zero", "count change",
                         "branch switch"}
 
     @pytest.mark.parametrize("case", ["open/triangle", "office/circle"])
@@ -738,7 +789,7 @@ class TestStagesMatchFullEvaluations:
         columns, t, evals, converged = _reference_episode(env, path, params, method, config)
 
         counts = {"safety_distance": 0, "prediction_goal_radius": 0, "_wrong_side": 0,
-                  "_crossings": 0, "full": 0, "refresh": 0, "culled": 0}
+                  "_crossings": 0, "full": 0, "culled": 0}
         for name in list(counts)[:4]:
             module = environment if name.startswith("_") else simulation
             real = getattr(module, name)
@@ -769,19 +820,18 @@ class TestStagesMatchFullEvaluations:
         # the parity runs once per margin block: the path clearance's vertex
         # margins take ceil(waypoints / rows) blocks, one on these three
         # scenes, and the node margins ceil(nodes / rows); and once per full
-        # query of the chain, whose refreshed and culled queries inherit the
-        # free side; a triangle's crossings follow a parity that passed
+        # query of the chain, whose culled queries inherit the free side; a
+        # triangle's crossings follow a parity that passed
         rows = max(1, _BLOCK_PAIRS // len(env._edge_a))
         path_blocks, blocks = -(-len(path.waypoints) // rows), -(-nodes // rows)
         assert path_blocks == 1
         parity = counts["_wrong_side"] - path_blocks - blocks
-        assert counts["full"] + counts["refresh"] + counts["culled"] == counts["safety_distance"]
+        assert counts["full"] + counts["culled"] == counts["safety_distance"]
         assert parity == counts["full"]
         assert counts["_crossings"] == (parity if method == "triangle" else 0)
         if case != "short/forward-sim":
-            # one full query an episode; a refresh for fewer than one query
-            # in fifty, and the rest read only the kept columns
-            assert counts["full"] == 1
-            assert counts["refresh"] < 0.02 * counts["safety_distance"]
+            # a full query for fewer than one query in fifty, and the rest
+            # read only the kept columns
+            assert counts["full"] < 0.02 * counts["safety_distance"]
         else:  # a set whose inner run differs in length re-seeds the chain
             assert 1 < counts["full"] < counts["culled"]

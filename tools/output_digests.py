@@ -12,9 +12,10 @@ with circle and triangle.  Each command's exit code, ``validate``'s report
 after the scenario path and the two ``check`` reports are written next to
 the CSV/SVG/YAML outputs, so one listing covers files, exit codes and
 property-suite lines.
-``summary.yaml`` and ``*_compare.csv`` record wall-clock cost and are left
-out.  Output is sorted ``sha256  path`` lines, so two trees compare with
-``diff``:
+``summary.yaml`` is digested without its one host-time line,
+``governor_eval_seconds``, and ``*_compare.csv``, which records wall-clock
+cost, is left out.  Output is sorted ``sha256  path`` lines, so two trees
+compare with ``diff``:
 
     python tools/output_digests.py OUT_DIR > digests.txt
 
@@ -109,11 +110,23 @@ def write_outputs(out: Path, fast: bool = False) -> None:
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
+# the summary key that records host time, one line of summary.yaml
+HOST_TIME = b"governor_eval_seconds:"
+
+
+def _digested_bytes(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name != "summary.yaml":
+        return data
+    return b"".join(line for line in data.splitlines(keepends=True)
+                    if not line.startswith(HOST_TIME))
+
+
 def listing(out: Path) -> list[str]:
     """The sorted ``sha256  path`` lines of the outputs under ``out``."""
-    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "summary.yaml"
-                   and not p.name.endswith("_compare.csv"))
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
+    files = sorted(p for p in out.rglob("*")
+                   if p.is_file() and not p.name.endswith("_compare.csv"))
+    return [f"{hashlib.sha256(_digested_bytes(p)).hexdigest()}  {p.relative_to(out).as_posix()}"
             for p in files]
 
 
